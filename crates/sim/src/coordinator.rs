@@ -152,7 +152,7 @@ impl Coordinator {
             h.u64(s.locks_held as u64);
             h.debug(&s.read_targets);
             h.u64(s.read_round as u64);
-            h.debug(&s.pending_sites);
+            h.debug(&s.pending_sites.sites_debug());
             h.debug(&s.round_quorum);
             h.debug(&s.round_responses);
             h.debug(&s.gathered);
@@ -494,7 +494,8 @@ impl Coordinator {
             // arbitree-lint: allow(D005) — re-lookup after pick_with_reprobe, which never mutates ops
             let s = self.ops.get_mut(&op).expect("txn exists");
             s.phase = Phase::ReadGather;
-            s.pending_sites = quorum.iter().collect();
+            s.pending_sites.clear();
+            s.pending_sites.add_quorum(obj, &quorum);
             s.round_quorum = quorum.clone();
             s.round_responses.clear();
         }
@@ -530,9 +531,7 @@ impl Coordinator {
             s.gather_responses.clear();
             for (obj, q) in &quorums {
                 s.round_quorums.insert(*obj, q.clone());
-                for site in q.iter() {
-                    s.read_pending_pairs.insert((*obj, site));
-                }
+                s.read_pending_pairs.add_quorum(*obj, q);
             }
         }
         for (obj, q) in quorums {
@@ -708,9 +707,7 @@ impl Coordinator {
             s.phase = Phase::PrepareGather;
             s.pending_pairs.clear();
             for (&obj, q) in &quorums {
-                for site in q.iter() {
-                    s.pending_pairs.insert((obj, site));
-                }
+                s.pending_pairs.add_quorum(obj, q);
                 sends.push((
                     obj,
                     q.clone(),
@@ -764,9 +761,7 @@ impl Coordinator {
             s.pending_pairs.clear();
             let mut sends: Vec<(ObjectId, QuorumSet, Bytes, Timestamp)> = Vec::new();
             for (&obj, q) in &s.write_quorums {
-                for site in q.iter() {
-                    s.pending_pairs.insert((obj, site));
-                }
+                s.pending_pairs.add_quorum(obj, q);
                 sends.push((
                     obj,
                     q.clone(),
@@ -1123,7 +1118,7 @@ impl Coordinator {
                 if self.config.batching {
                     // Batched gather: all targets outstanding at once,
                     // matched by (object, site) pair.
-                    if !state.read_pending_pairs.remove(&(*obj, from)) {
+                    if !state.read_pending_pairs.remove(*obj, from) {
                         return; // stale gather, duplicate, or out-of-quorum
                     }
                     state.gather_responses.push((*obj, from, *ts));
@@ -1139,7 +1134,9 @@ impl Coordinator {
                     }
                     return;
                 }
-                if state.current_read_target() != Some(*obj) || !state.pending_sites.remove(&from) {
+                // The round's acks are keyed by its object, so a response
+                // for another round's object misses like a duplicate does.
+                if !state.pending_sites.remove(*obj, from) {
                     return; // stale round, duplicate, or out-of-quorum
                 }
                 state.round_responses.push((from, *ts));
@@ -1155,8 +1152,7 @@ impl Coordinator {
                 }
             }
             (Payload::PrepareAck { obj, ok, ts, .. }, Phase::PrepareGather) => {
-                if state.write_ts.get(obj) != Some(ts)
-                    || !state.pending_pairs.contains(&(*obj, from))
+                if state.write_ts.get(obj) != Some(ts) || !state.pending_pairs.contains(*obj, from)
                 {
                     return; // vote for an earlier attempt's timestamp
                 }
@@ -1176,13 +1172,13 @@ impl Coordinator {
                     }
                     return;
                 }
-                state.pending_pairs.remove(&(*obj, from));
+                state.pending_pairs.remove(*obj, from);
                 if state.pending_pairs.is_empty() {
                     self.start_commit_phase(engine, shards, op_id);
                 }
             }
             (Payload::CommitAck { obj, .. }, Phase::CommitGather) => {
-                let acked = state.pending_pairs.remove(&(*obj, from));
+                let acked = state.pending_pairs.remove(*obj, from);
                 // Mutation hook: StaleCommitAck declares victory on the first
                 // acknowledgement instead of waiting for the full quorum.
                 let premature = matches!(self.config.fault, Some(FaultInjection::StaleCommitAck));
@@ -1212,13 +1208,9 @@ impl Coordinator {
         engine.metrics.timeouts_fired += 1;
         // Suspect every member that stayed silent.
         let silent: Vec<SiteId> = match state.phase {
-            Phase::ReadGather if self.config.batching => {
-                state.read_pending_pairs.iter().map(|&(_, s)| s).collect()
-            }
-            Phase::ReadGather => state.pending_sites.iter().copied().collect(),
-            Phase::PrepareGather | Phase::CommitGather => {
-                state.pending_pairs.iter().map(|&(_, s)| s).collect()
-            }
+            Phase::ReadGather if self.config.batching => state.read_pending_pairs.sites().collect(),
+            Phase::ReadGather => state.pending_sites.sites().collect(),
+            Phase::PrepareGather | Phase::CommitGather => state.pending_pairs.sites().collect(),
             Phase::LockWait => Vec::new(),
         };
         for s in &silent {
@@ -1278,7 +1270,7 @@ impl Coordinator {
                 let pending: Vec<(ObjectId, SiteId, Bytes, Timestamp)> = state
                     .pending_pairs
                     .iter()
-                    .map(|&(obj, site)| {
+                    .map(|(obj, site)| {
                         (
                             obj,
                             site,

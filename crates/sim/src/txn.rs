@@ -12,7 +12,7 @@ use crate::message::{ClientId, ObjectId, OpId};
 use crate::metrics::SimMetrics;
 use crate::time::SimTime;
 use arbitree_core::{DetMap, DetSet, Timestamp};
-use arbitree_quorum::{QuorumSet, ReplicaControl, SiteId};
+use arbitree_quorum::{AliveSet, QuorumSet, ReplicaControl, SiteId};
 use bytes::Bytes;
 use std::fmt;
 
@@ -51,8 +51,9 @@ pub(crate) struct TxnState {
     pub(crate) read_targets: Vec<ObjectId>,
     /// Index of the read round in progress.
     pub(crate) read_round: usize,
-    /// Members of the current read round still to respond.
-    pub(crate) pending_sites: DetSet<SiteId>,
+    /// Members of the current read round still to respond (one object:
+    /// the current read target).
+    pub(crate) pending_sites: AckSet,
     /// The current read round's quorum.
     pub(crate) round_quorum: QuorumSet,
     /// Per-responder timestamps of the current round (read-repair).
@@ -68,11 +69,11 @@ pub(crate) struct TxnState {
     /// Write quorums per object (current prepare attempt).
     pub(crate) write_quorums: DetMap<ObjectId, QuorumSet>,
     /// Outstanding (object, site) prepare/commit acknowledgements.
-    pub(crate) pending_pairs: DetSet<(ObjectId, SiteId)>,
+    pub(crate) pending_pairs: AckSet,
     /// Outstanding (object, site) read responses of a *batched* gather
     /// (all read targets queried in one parallel round; empty in
     /// sequential mode).
-    pub(crate) read_pending_pairs: DetSet<(ObjectId, SiteId)>,
+    pub(crate) read_pending_pairs: AckSet,
     /// Per-responder timestamps of a batched gather (read-repair; empty in
     /// sequential mode).
     pub(crate) gather_responses: Vec<(ObjectId, SiteId, Timestamp)>,
@@ -95,7 +96,7 @@ impl TxnState {
             locks_held: 0,
             read_targets: Vec::new(),
             read_round: 0,
-            pending_sites: DetSet::new(),
+            pending_sites: AckSet::default(),
             round_quorum: QuorumSet::new(),
             round_responses: Vec::new(),
             gathered: DetMap::new(),
@@ -103,8 +104,8 @@ impl TxnState {
             write_ts: DetMap::new(),
             write_values: DetMap::new(),
             write_quorums: DetMap::new(),
-            pending_pairs: DetSet::new(),
-            read_pending_pairs: DetSet::new(),
+            pending_pairs: AckSet::default(),
+            read_pending_pairs: AckSet::default(),
             gather_responses: Vec::new(),
             is_migration,
         }
@@ -112,6 +113,100 @@ impl TxnState {
 
     pub(crate) fn current_read_target(&self) -> Option<ObjectId> {
         self.read_targets.get(self.read_round).copied()
+    }
+}
+
+/// Outstanding acknowledgements of one phase: per object, the bitmask of
+/// sites still to answer, objects in the order their quorums were added.
+///
+/// It replaces a `DetSet<(ObjectId, SiteId)>` filled quorum by quorum in
+/// ascending site order, and iterates — and prints `Debug` — exactly as
+/// that set did: objects in insertion order, each object's sites
+/// ascending. Removal is a bit flip instead of an index rewrite.
+#[derive(Default)]
+pub(crate) struct AckSet {
+    /// Objects with at least one outstanding site (empty masks are
+    /// dropped, so `is_empty` is `entries.is_empty()`).
+    entries: Vec<(ObjectId, AliveSet)>,
+}
+
+impl AckSet {
+    /// Expects an acknowledgement from every member of `quorum` for `obj`
+    /// (an object not already present).
+    pub(crate) fn add_quorum(&mut self, obj: ObjectId, quorum: &QuorumSet) {
+        debug_assert!(self.entries.iter().all(|&(o, _)| o != obj));
+        let sites = quorum.to_alive_set();
+        if !sites.is_empty() {
+            self.entries.push((obj, sites));
+        }
+    }
+
+    /// Whether `(obj, site)` is still outstanding.
+    pub(crate) fn contains(&self, obj: ObjectId, site: SiteId) -> bool {
+        self.entries
+            .iter()
+            .any(|&(o, sites)| o == obj && sites.contains(site))
+    }
+
+    /// Records `site`'s acknowledgement for `obj`; `true` if it was
+    /// outstanding.
+    pub(crate) fn remove(&mut self, obj: ObjectId, site: SiteId) -> bool {
+        let Some(i) = self
+            .entries
+            .iter()
+            .position(|&(o, sites)| o == obj && sites.contains(site))
+        else {
+            return false;
+        };
+        self.entries[i].1.remove(site);
+        if self.entries[i].1.is_empty() {
+            self.entries.remove(i);
+        }
+        true
+    }
+
+    /// Whether nothing is outstanding.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Forgets every outstanding acknowledgement.
+    pub(crate) fn clear(&mut self) {
+        self.entries.clear();
+    }
+
+    /// Outstanding `(object, site)` pairs: objects in insertion order, each
+    /// object's sites ascending.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (ObjectId, SiteId)> + '_ {
+        self.entries
+            .iter()
+            .flat_map(|&(obj, sites)| sites.iter().map(move |s| (obj, s)))
+    }
+
+    /// The outstanding sites alone, in [`AckSet::iter`] order.
+    pub(crate) fn sites(&self) -> impl Iterator<Item = SiteId> + '_ {
+        self.iter().map(|(_, s)| s)
+    }
+
+    /// A `Debug` view of the sites alone, printed as the
+    /// `DetSet<SiteId>` of a single-object round printed.
+    pub(crate) fn sites_debug(&self) -> impl fmt::Debug + '_ {
+        SitesDebug(self)
+    }
+}
+
+impl fmt::Debug for AckSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
+}
+
+/// See [`AckSet::sites_debug`].
+struct SitesDebug<'a>(&'a AckSet);
+
+impl fmt::Debug for SitesDebug<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.0.sites()).finish()
     }
 }
 
@@ -216,5 +311,71 @@ impl fmt::Display for SimReport {
             self.writes_recorded,
             self.ops_incomplete
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `AckSet` against the `DetSet<(ObjectId, SiteId)>` it replaced,
+        /// filled the way the coordinator fills both (quorum by quorum,
+        /// each quorum's sites ascending) and drained by random acks,
+        /// duplicates and out-of-quorum ones included.
+        #[test]
+        fn ack_set_iterates_and_prints_like_the_det_set_it_replaced(
+            quorums in proptest::collection::vec(proptest::collection::vec(0u32..40, 0..12), 1..8),
+            acks in proptest::collection::vec((0u32..10, 0u32..40), 0..120),
+        ) {
+            let mut acks_set = AckSet::default();
+            let mut pairs: DetSet<(ObjectId, SiteId)> = DetSet::new();
+            // Distinct objects in a scrambled order, like a txn's writes.
+            for (i, members) in quorums.iter().enumerate() {
+                let obj = ObjectId((i as u32 * 7 + 3) % 10);
+                let q = QuorumSet::from_indices(members.iter().copied());
+                acks_set.add_quorum(obj, &q);
+                for site in q.iter() {
+                    pairs.insert((obj, site));
+                }
+            }
+            for &(o, s) in &acks {
+                let (obj, site) = (ObjectId(o), SiteId::new(s));
+                prop_assert_eq!(acks_set.contains(obj, site), pairs.contains(&(obj, site)));
+                prop_assert_eq!(acks_set.remove(obj, site), pairs.remove(&(obj, site)));
+                let got: Vec<(ObjectId, SiteId)> = acks_set.iter().collect();
+                let want: Vec<(ObjectId, SiteId)> = pairs.iter().copied().collect();
+                prop_assert_eq!(got, want);
+                prop_assert_eq!(format!("{acks_set:?}"), format!("{pairs:?}"));
+                prop_assert_eq!(acks_set.is_empty(), pairs.is_empty());
+            }
+            acks_set.clear();
+            prop_assert!(acks_set.is_empty());
+            prop_assert_eq!(format!("{acks_set:?}"), "{}");
+        }
+
+        /// A single-object round prints its sites exactly as the
+        /// `DetSet<SiteId>` it replaced.
+        #[test]
+        fn round_sites_print_like_the_det_set_they_replaced(
+            members in proptest::collection::vec(0u32..128, 0..16),
+            acks in proptest::collection::vec(0u32..128, 0..24),
+        ) {
+            let q = QuorumSet::from_indices(members);
+            let mut round = AckSet::default();
+            round.add_quorum(ObjectId(5), &q);
+            let mut sites: DetSet<SiteId> = q.iter().collect();
+            for &s in &acks {
+                let site = SiteId::new(s);
+                prop_assert_eq!(round.remove(ObjectId(5), site), sites.remove(&site));
+                prop_assert_eq!(format!("{:?}", round.sites_debug()), format!("{sites:?}"));
+                let got: Vec<SiteId> = round.sites().collect();
+                let want: Vec<SiteId> = sites.iter().copied().collect();
+                prop_assert_eq!(got, want);
+            }
+        }
     }
 }
