@@ -5,6 +5,7 @@ use crate::error::TreeError;
 use crate::spec::TreeSpec;
 use arbitree_quorum::{SiteId, Universe};
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of a node within an [`ArbitraryTree`] (dense index).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -86,6 +87,9 @@ impl Node {
 /// identifiers are assigned to physical nodes top-down, left-to-right, so the
 /// mapping between tree positions and [`SiteId`]s is deterministic.
 ///
+/// A built tree is immutable, so clones share it: a clone costs one
+/// reference count, whatever the tree's size.
+///
 /// # Examples
 ///
 /// ```
@@ -99,8 +103,14 @@ impl Node {
 /// assert_eq!(tree.max_level_width(), 5); // e
 /// # Ok::<(), arbitree_core::TreeError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone, PartialEq)]
 pub struct ArbitraryTree {
+    shape: Arc<Shape>,
+}
+
+/// The tree's structure, shared by every clone of an [`ArbitraryTree`].
+#[derive(PartialEq)]
+struct Shape {
     spec: TreeSpec,
     nodes: Vec<Node>,
     /// Node ids per level, physical nodes first.
@@ -173,13 +183,15 @@ impl ArbitraryTree {
         }
 
         Ok(ArbitraryTree {
-            physical_levels: spec.physical_levels(),
-            logical_levels: spec.logical_levels(),
-            spec: spec.clone(),
-            nodes,
-            levels,
-            sites_by_level,
-            site_levels,
+            shape: Arc::new(Shape {
+                physical_levels: spec.physical_levels(),
+                logical_levels: spec.logical_levels(),
+                spec: spec.clone(),
+                nodes,
+                levels,
+                sites_by_level,
+                site_levels,
+            }),
         })
     }
 
@@ -194,17 +206,17 @@ impl ArbitraryTree {
 
     /// The spec this tree was built from.
     pub fn spec(&self) -> &TreeSpec {
-        &self.spec
+        &self.shape.spec
     }
 
     /// Tree height `h`.
     pub fn height(&self) -> usize {
-        self.spec.height()
+        self.shape.spec.height()
     }
 
     /// Number of replicas `n`.
     pub fn replica_count(&self) -> usize {
-        self.site_levels.len()
+        self.shape.site_levels.len()
     }
 
     /// The replica universe `U` (sites `0..n`).
@@ -214,7 +226,7 @@ impl ArbitraryTree {
 
     /// All nodes, dense by [`NodeId`].
     pub fn nodes(&self) -> &[Node] {
-        &self.nodes
+        &self.shape.nodes
     }
 
     /// Looks up a node.
@@ -223,27 +235,27 @@ impl ArbitraryTree {
     ///
     /// Panics if `id` does not belong to this tree.
     pub fn node(&self, id: NodeId) -> &Node {
-        &self.nodes[id.index()]
+        &self.shape.nodes[id.index()]
     }
 
     /// The root node.
     pub fn root(&self) -> &Node {
-        &self.nodes[0]
+        &self.shape.nodes[0]
     }
 
     /// Node ids at `level` (physical first, then logical filler).
     pub fn level_nodes(&self, level: usize) -> &[NodeId] {
-        &self.levels[level]
+        &self.shape.levels[level]
     }
 
     /// `m_k`: total node count at `level`.
     pub fn level_total(&self, level: usize) -> usize {
-        self.levels[level].len()
+        self.shape.levels[level].len()
     }
 
     /// `m_phy_k`: physical node count at `level`.
     pub fn level_physical(&self, level: usize) -> usize {
-        self.sites_by_level[level].len()
+        self.shape.sites_by_level[level].len()
     }
 
     /// `m_log_k`: logical node count at `level`.
@@ -253,28 +265,29 @@ impl ArbitraryTree {
 
     /// The sites (replicas) hosted at `level`, ascending.
     pub fn level_sites(&self, level: usize) -> &[SiteId] {
-        &self.sites_by_level[level]
+        &self.shape.sites_by_level[level]
     }
 
     /// `K_phy`: the physical levels, ascending.
     pub fn physical_levels(&self) -> &[usize] {
-        &self.physical_levels
+        &self.shape.physical_levels
     }
 
     /// `K_log`: the logical levels, ascending.
     pub fn logical_levels(&self) -> &[usize] {
-        &self.logical_levels
+        &self.shape.logical_levels
     }
 
     /// `|K_phy|` — also `m(W)`, the number of write quorums (fact 3.2.2).
     pub fn physical_level_count(&self) -> usize {
-        self.physical_levels.len()
+        self.shape.physical_levels.len()
     }
 
     /// `d = min_k m_phy_k` over physical levels: the smallest physical-level
     /// width. Drives the read load `1/d` and the minimum write cost.
     pub fn min_level_width(&self) -> usize {
-        self.physical_levels
+        self.shape
+            .physical_levels
             .iter()
             .map(|&k| self.level_physical(k))
             .min()
@@ -284,7 +297,8 @@ impl ArbitraryTree {
     /// `e = max_k m_phy_k`: the largest physical-level width (maximum write
     /// cost).
     pub fn max_level_width(&self) -> usize {
-        self.physical_levels
+        self.shape
+            .physical_levels
             .iter()
             .map(|&k| self.level_physical(k))
             .max()
@@ -297,13 +311,30 @@ impl ArbitraryTree {
     ///
     /// Panics if `site` is not a replica of this tree.
     pub fn site_level(&self, site: SiteId) -> usize {
-        self.site_levels[site.index()]
+        self.shape.site_levels[site.index()]
+    }
+}
+
+// Prints the shared structure's fields under the tree's own name, so the
+// `Arc` does not show.
+impl fmt::Debug for ArbitraryTree {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let s = &*self.shape;
+        f.debug_struct("ArbitraryTree")
+            .field("spec", &s.spec)
+            .field("nodes", &s.nodes)
+            .field("levels", &s.levels)
+            .field("sites_by_level", &s.sites_by_level)
+            .field("site_levels", &s.site_levels)
+            .field("physical_levels", &s.physical_levels)
+            .field("logical_levels", &s.logical_levels)
+            .finish()
     }
 }
 
 impl fmt::Display for ArbitraryTree {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ArbitraryTree({})", self.spec)
+        write!(f, "ArbitraryTree({})", self.shape.spec)
     }
 }
 
