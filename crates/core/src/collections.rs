@@ -12,25 +12,82 @@
 //! * iteration yields entries in **insertion order** — the order the
 //!   deterministic simulation produced them, stable across processes,
 //!   platforms and `RUSTFLAGS`;
-//! * lookup goes through a `BTreeMap` index (`O(log n)`, no hashing, no
-//!   per-process seed);
-//! * equality is **content-based** (key-sorted), so two runs that assembled
-//!   the same state in different orders still compare equal.
+//! * lookup goes through a hash index (`O(1)` expected) from key to slot.
+//!   The index is only ever probed, never iterated: every iteration,
+//!   `Debug` and `IntoIterator` walks the slot `Vec`. So the hash function
+//!   decides how fast a lookup is, never what order anything comes out in,
+//!   and even a hasher that sent every key to one bucket would change no
+//!   output. The index uses a fixed multiplicative hasher (no per-process
+//!   seed), so its cost does not vary from run to run either;
+//! * equality is **content-based** (same keys, same value per key), so two
+//!   runs that assembled the same state in different orders still compare
+//!   equal.
 //!
 //! The `arbitree-lint` rule **D001** flags raw `HashMap`/`HashSet` in
 //! replay-critical crates and points here.
 
-use std::collections::BTreeMap;
+use std::collections::{hash_map, HashMap};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
-/// An insertion-ordered map with `BTreeMap`-backed lookup and deterministic
+/// A fixed multiplicative hasher in the Fx style: one add and one multiply
+/// per word, no seed. Only [`DetMap`]'s index uses it, and that index is
+/// never iterated, so its hash values cannot reach any output.
+#[derive(Default, Clone, Copy)]
+struct FxHasher(u64);
+
+impl FxHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = self
+            .0
+            .wrapping_add(word)
+            .wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    /// The product's high bits depend on every input bit, its low bits on
+    /// the low input bits only; the table indexes buckets by low bits, so
+    /// rotate the high ones down.
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// Key → slot of its live entry.
+type Index<K> = HashMap<K, usize, BuildHasherDefault<FxHasher>>;
+
+/// An insertion-ordered map with hash-indexed lookup and deterministic
 /// iteration. See the [module docs](self) for why this exists.
 ///
-/// Keys must be `Ord + Clone` (the index stores a second copy of each key).
-/// Lookup and insertion are `O(log n)`. Removal is amortized `O(log n)`: it
-/// tombstones the entry's slot, and the map compacts its slots once
-/// tombstones outnumber live entries, so iteration stays `O(n)` in the live
-/// count.
+/// Keys must be `Eq + Hash + Clone` (the index stores a second copy of each
+/// key). Lookup and insertion are `O(1)` expected. Removal is amortized
+/// `O(1)`: it tombstones the entry's slot, and the map compacts its slots
+/// once tombstones outnumber live entries, so iteration stays `O(n)` in the
+/// live count. The index is probed, never iterated, so no order depends on
+/// hash values. Its hasher is unseeded, so keys crafted to collide would
+/// slow it to a linear scan (never change its results): the simulator's
+/// keys are its own site, object and op ids, not outside input.
 ///
 /// # Examples
 ///
@@ -53,17 +110,30 @@ use std::fmt;
 pub struct DetMap<K, V> {
     /// Entries in insertion order; `None` is the tombstone of a removed one.
     slots: Vec<Option<(K, V)>>,
-    /// Key → slot of its live entry.
-    index: BTreeMap<K, usize>,
+    /// Key → slot of its live entry. Probed only; never iterated.
+    index: Index<K>,
 }
 
 impl<K, V> Default for DetMap<K, V> {
     fn default() -> Self {
         DetMap {
             slots: Vec::new(),
-            index: BTreeMap::new(),
+            index: Index::default(),
         }
     }
+}
+
+/// Appends an entry under a key the index lacks, in one probe; returns
+/// its slot.
+fn push<K: Clone, V>(
+    slots: &mut Vec<Option<(K, V)>>,
+    vacant: hash_map::VacantEntry<'_, K, usize>,
+    value: V,
+) -> usize {
+    let i = slots.len();
+    slots.push(Some((vacant.key().clone(), value)));
+    vacant.insert(i);
+    i
 }
 
 /// Borrows a live slot's key and value (`None` for a tombstone).
@@ -116,15 +186,7 @@ impl<K, V> DetMap<K, V> {
     }
 }
 
-impl<K: Ord + Clone, V> DetMap<K, V> {
-    /// Appends a new entry (the key must be absent); returns its slot.
-    fn push(&mut self, key: K, value: V) -> usize {
-        let i = self.slots.len();
-        self.index.insert(key.clone(), i);
-        self.slots.push(Some((key, value)));
-        i
-    }
-
+impl<K: Eq + Hash + Clone, V> DetMap<K, V> {
     /// The live entry in slot `i` (every index slot holds one).
     fn slot_mut(&mut self, i: usize) -> Option<&mut V> {
         self.slots[i].as_mut().map(|(_, v)| v)
@@ -134,10 +196,13 @@ impl<K: Ord + Clone, V> DetMap<K, V> {
     /// was present (the entry keeps its original insertion position, like
     /// `HashMap::insert`).
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
-        match self.index.get(&key) {
-            Some(&i) => self.slot_mut(i).map(|v| std::mem::replace(v, value)),
-            None => {
-                self.push(key, value);
+        match self.index.entry(key) {
+            hash_map::Entry::Occupied(e) => {
+                let i = *e.get();
+                self.slot_mut(i).map(|v| std::mem::replace(v, value))
+            }
+            hash_map::Entry::Vacant(e) => {
+                push(&mut self.slots, e, value);
                 None
             }
         }
@@ -201,7 +266,7 @@ pub struct Entry<'a, K, V> {
     key: K,
 }
 
-impl<'a, K: Ord + Clone, V> Entry<'a, K, V> {
+impl<'a, K: Eq + Hash + Clone, V> Entry<'a, K, V> {
     /// Inserts `default` if the entry is vacant; returns the value.
     pub fn or_insert(self, default: V) -> &'a mut V {
         self.or_insert_with(|| default)
@@ -209,11 +274,12 @@ impl<'a, K: Ord + Clone, V> Entry<'a, K, V> {
 
     /// Inserts `default()` if the entry is vacant; returns the value.
     pub fn or_insert_with(self, default: impl FnOnce() -> V) -> &'a mut V {
-        let pos = match self.map.index.get(&self.key) {
-            Some(&i) => i,
-            None => self.map.push(self.key, default()),
+        let map = self.map;
+        let pos = match map.index.entry(self.key) {
+            hash_map::Entry::Occupied(e) => *e.get(),
+            hash_map::Entry::Vacant(e) => push(&mut map.slots, e, default()),
         };
-        match &mut self.map.slots[pos] {
+        match &mut map.slots[pos] {
             Some((_, v)) => v,
             None => unreachable!("the index points at live slots only"),
         }
@@ -241,25 +307,24 @@ impl<K: fmt::Debug, V> fmt::Debug for Entry<'_, K, V> {
 }
 
 /// Content-based equality: same key set, same value per key — independent
-/// of insertion order, matching `HashMap` semantics.
-impl<K: Ord, V: PartialEq> PartialEq for DetMap<K, V> {
+/// of insertion order, matching `HashMap` semantics. With equal lengths,
+/// every entry of `self` found in `other` means the key sets coincide.
+impl<K: Eq + Hash, V: PartialEq> PartialEq for DetMap<K, V> {
     fn eq(&self, other: &Self) -> bool {
         self.len() == other.len()
-            && self
-                .index
-                .iter()
-                .zip(other.index.iter())
-                .all(|((ka, &ia), (kb, &ib))| {
-                    ka == kb
-                        && live(&self.slots[ia]).map(|(_, v)| v)
-                            == live(&other.slots[ib]).map(|(_, v)| v)
-                })
+            && self.iter().all(|(k, v)| {
+                other
+                    .index
+                    .get(k)
+                    .and_then(|&i| live(&other.slots[i]))
+                    .is_some_and(|(_, ov)| ov == v)
+            })
     }
 }
 
-impl<K: Ord, V: Eq> Eq for DetMap<K, V> {}
+impl<K: Eq + Hash, V: Eq> Eq for DetMap<K, V> {}
 
-impl<K: Ord + Clone, V> FromIterator<(K, V)> for DetMap<K, V> {
+impl<K: Eq + Hash + Clone, V> FromIterator<(K, V)> for DetMap<K, V> {
     fn from_iter<I: IntoIterator<Item = (K, V)>>(iter: I) -> Self {
         let mut map = DetMap::new();
         for (k, v) in iter {
@@ -269,7 +334,7 @@ impl<K: Ord + Clone, V> FromIterator<(K, V)> for DetMap<K, V> {
     }
 }
 
-impl<K: Ord + Clone, V> Extend<(K, V)> for DetMap<K, V> {
+impl<K: Eq + Hash + Clone, V> Extend<(K, V)> for DetMap<K, V> {
     fn extend<I: IntoIterator<Item = (K, V)>>(&mut self, iter: I) {
         for (k, v) in iter {
             self.insert(k, v);
@@ -353,7 +418,7 @@ impl<T> DetSet<T> {
     }
 }
 
-impl<T: Ord + Clone> DetSet<T> {
+impl<T: Eq + Hash + Clone> DetSet<T> {
     /// Inserts `value`; returns `true` if it was not already present.
     pub fn insert(&mut self, value: T) -> bool {
         self.map.insert(value, ()).is_none()
@@ -376,15 +441,15 @@ impl<T: fmt::Debug> fmt::Debug for DetSet<T> {
     }
 }
 
-impl<T: Ord> PartialEq for DetSet<T> {
+impl<T: Eq + Hash> PartialEq for DetSet<T> {
     fn eq(&self, other: &Self) -> bool {
         self.map == other.map
     }
 }
 
-impl<T: Ord> Eq for DetSet<T> {}
+impl<T: Eq + Hash> Eq for DetSet<T> {}
 
-impl<T: Ord + Clone> FromIterator<T> for DetSet<T> {
+impl<T: Eq + Hash + Clone> FromIterator<T> for DetSet<T> {
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
         let mut set = DetSet::new();
         for v in iter {
@@ -394,7 +459,7 @@ impl<T: Ord + Clone> FromIterator<T> for DetSet<T> {
     }
 }
 
-impl<T: Ord + Clone> Extend<T> for DetSet<T> {
+impl<T: Eq + Hash + Clone> Extend<T> for DetSet<T> {
     fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
         for v in iter {
             self.insert(v);

@@ -556,7 +556,7 @@ impl Coordinator {
                     .ops
                     .get(&op)
                     .and_then(|s| s.gathered.get(&obj).cloned())
-                    .unwrap_or((Timestamp::ZERO, Bytes::new()));
+                    .unwrap_or_else(|| (Timestamp::ZERO, Bytes::new()));
                 let stale: Vec<SiteId> = responses
                     .iter()
                     .filter(|(o, _, seen)| *o == obj && *seen < best.0)
@@ -621,7 +621,7 @@ impl Coordinator {
                 .gathered
                 .get(&obj)
                 .cloned()
-                .unwrap_or((Timestamp::ZERO, Bytes::new()));
+                .unwrap_or_else(|| (Timestamp::ZERO, Bytes::new()));
             s.round_quorums.insert(obj, s.round_quorum.clone());
             s.read_round += 1;
             (obj, best, s.round_responses.clone(), s.client)
@@ -841,7 +841,7 @@ impl Coordinator {
                 .gathered
                 .get(&obj)
                 .cloned()
-                .unwrap_or((Timestamp::ZERO, Bytes::new()));
+                .unwrap_or_else(|| (Timestamp::ZERO, Bytes::new()));
             self.checker.check_read(op, obj, &value, ts);
             engine.metrics.reads_ok += 1;
             if let Some(q) = state.round_quorums.get(&obj) {
@@ -945,7 +945,7 @@ impl Coordinator {
                 .gathered
                 .get(&obj)
                 .cloned()
-                .unwrap_or((Timestamp::ZERO, Bytes::new()));
+                .unwrap_or_else(|| (Timestamp::ZERO, Bytes::new()));
             self.checker.check_read(op, obj, &value, ts);
             let sid = self.clients[self.migration_client().0 as usize].sid;
             self.issue_migration_write(engine, shards, obj, value, ts.next(sid));

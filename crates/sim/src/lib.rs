@@ -62,6 +62,8 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+// An eager `unwrap_or(Bytes::new())` allocates on every call, hit or miss.
+#![warn(clippy::or_fun_call)]
 
 mod checker;
 mod config;

@@ -70,6 +70,17 @@ fn simulate_reports_consistency() {
 }
 
 #[test]
+fn simulate_rejects_trees_beyond_the_site_cap() {
+    let (ok, stdout, stderr) = run(&["simulate", "1-200", "1"]);
+    assert!(!ok);
+    assert!(stdout.is_empty(), "{stdout}");
+    assert!(
+        stderr.contains("error: tree has 200 replicas") && !stderr.contains("panicked"),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn faults_reports_blocking_numbers() {
     let (ok, stdout, _) = run(&["faults", "1-3-5"]);
     assert!(ok);
