@@ -3,9 +3,8 @@
 //!
 //! Two halves, mirroring the detector's acceptance criteria:
 //!
-//! * **Smoke suite** — the real threaded harness paths (striped
-//!   [`LockManager`] under four worker threads, [`parallel_map`], and a
-//!   small chaos [`run_cells`] batch) each run under their own recording
+//! * **Smoke suite** — the real threaded harness paths ([`parallel_map`]
+//!   and a small chaos [`run_cells`] batch) each run under their own recording
 //!   session and must analyze *clean*: zero data-race, lock-order, or
 //!   misuse findings and zero dropped events.
 //! * **Kill matrix** — every seeded [`RaceMutation`] runs its mutated
@@ -21,8 +20,8 @@ use arbitree_bench::report::{json_str, BenchReport, BenchRow};
 use arbitree_core::ArbitraryProtocol;
 use arbitree_race::{analyze, mutants, RaceMutation, RaceReport, Session};
 use arbitree_sim::{
-    build_profile, parallel_map, run_cells, ExperimentCell, FailureSchedule, LockManager, LockMode,
-    NemesisKind, NetworkConfig, ObjectId, OpId, SimConfig, SimDuration,
+    build_profile, parallel_map, run_cells, ExperimentCell, FailureSchedule, NemesisKind,
+    NetworkConfig, SimConfig, SimDuration,
 };
 
 /// One smoke scenario's outcome.
@@ -59,11 +58,7 @@ fn main() {
         if smoke_mode { " [smoke]" } else { "" }
     );
 
-    let smokes = vec![
-        striped_lock_manager(),
-        parallel_map_smoke(),
-        chaos_batch(smoke_mode),
-    ];
+    let smokes = vec![parallel_map_smoke(), chaos_batch(smoke_mode)];
     for s in &smokes {
         println!(
             "smoke {:<22} {:>6} events  {} threads  {} locks  {} cells  {}",
@@ -137,46 +132,6 @@ fn main() {
         kills.len(),
         kills.len()
     );
-}
-
-/// Four worker threads hammer disjoint object ranges of an 8-stripe
-/// [`LockManager`]; the striped table's internal locking must leave no
-/// unordered shared accesses behind.
-fn striped_lock_manager() -> Smoke {
-    const THREADS: u32 = 4;
-    const OPS: u32 = 200;
-    let lm = LockManager::striped(8);
-    let session = Session::start();
-    arbitree_race::scope(|s| {
-        let handles: Vec<_> = (0..THREADS)
-            .map(|t| {
-                let lm = &lm;
-                s.spawn(move |_| {
-                    let base = t * 64;
-                    for i in 0..OPS {
-                        let obj = ObjectId(base + i % 16);
-                        let op = OpId(u64::from(t) * 10_000 + u64::from(i));
-                        let mode = if i % 3 == 0 {
-                            LockMode::Read
-                        } else {
-                            LockMode::Write
-                        };
-                        lm.acquire(op, obj, mode);
-                        lm.holds(op, obj);
-                        lm.release(op, obj);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("stress thread");
-        }
-    })
-    .expect("stress scope");
-    Smoke {
-        name: "striped-lock-manager",
-        report: analyze(&session.finish()),
-    }
 }
 
 /// The work-stealing map over 128 items: index claims via traced mutexes,

@@ -10,11 +10,11 @@
 //! What the sweep is measuring:
 //!
 //! * **Shards** — independent protocol instances the keyspace hashes
-//!   across. More shards shorten lock conflicts (striped lock tables) but
-//!   do not change quorum sizes, so ops/sec per *simulated* second mainly
-//!   moves with contention, and wall-clock throughput with engine work.
+//!   across. Locks are per object and shards do not change quorum sizes,
+//!   so ops/sec per *simulated* second mainly moves with contention, and
+//!   wall-clock throughput with engine work.
 //! * **Distribution** — `uniform` vs `zipfian(1.0)`: skew concentrates
-//!   traffic on hot keys (and therefore hot shards/stripes).
+//!   traffic on hot keys (and therefore hot shards).
 //! * **Batching** — same-destination payloads issued in one scheduling
 //!   instant coalesce into one envelope, and reads gather all targets in a
 //!   single parallel round; the tree root sits in every read quorum, so

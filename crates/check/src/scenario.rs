@@ -36,8 +36,8 @@ pub struct Scenario {
     pub clients: usize,
     /// Number of replicated objects.
     pub objects: usize,
-    /// Number of keyspace shards (independent protocol instances, one
-    /// lock-table stripe each). `1` for every pre-sharding scenario.
+    /// Number of keyspace shards (independent protocol instances). `1`
+    /// for every pre-sharding scenario.
     pub shards: usize,
     /// Quorum-assembly attempts before an operation aborts.
     pub max_attempts: u32,
@@ -307,7 +307,7 @@ impl Scenario {
 
     /// Two writers on *different shards*: objects 0 and 2 hash to
     /// different instances under `shard_index(·, 2)`, so the two
-    /// transactions share no object, no lock stripe, and no protocol
+    /// transactions share no object, no object lock, and no protocol
     /// instance. With the object-tagged independence relation their
     /// same-site deliveries commute, so DPOR needs strictly fewer
     /// schedules to exhaust a given interleaving window. Unlike the other

@@ -19,7 +19,7 @@
 //! | D007 | direct event scheduling that bypasses the coordinator/Scheduler seam |
 //! | D008 | `Payload` variants missing an explicit `Payload::object()` arm (file-level) |
 //! | D009 | `Payload` variants missing from the checker's `payload_class` mapping (cross-file) |
-//! | D010 | `LockManager::acquire` with no prior stripe-order sort (file-level) |
+//! | D010 | `LockManager::acquire` with no prior ascending-object-order sort (file-level) |
 //! | D011 | raw `thread::spawn`/`Mutex`/`RwLock`/`mpsc`/crossbeam outside the arbitree-race seam |
 //!
 //! Findings a human has judged safe are suppressed inline — the directive
@@ -226,7 +226,7 @@ fn lint_file(ctx: &FileCtx, report: &mut LintReport) {
     }
 
     // D010 is a file-level ordering rule: a non-test `.acquire(` call is
-    // only safe after the lock plan was put into canonical stripe order,
+    // only safe after the lock plan was put into ascending object order,
     // so the pass tracks whether a sort has appeared on an earlier
     // non-test line. Token-level approximation: the sort and the acquire
     // are related by position, not dataflow — the workspace convention

@@ -65,13 +65,13 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         id: "D010",
-        summary: "lock acquisition with no prior stripe-order sort",
-        hint: "sort the lock plan by object/stripe index before acquiring (`lock_plan.sort_by_key(...)`) — two transactions walking the same stripes in different orders can deadlock under 2PL",
+        summary: "lock acquisition with no prior ascending-object-order sort",
+        hint: "sort the lock plan by object id before acquiring (`lock_plan.sort_by_key(...)`) — two transactions walking the same objects in different orders can deadlock under 2PL",
     },
     Rule {
         id: "D011",
         summary: "raw thread/sync primitive outside the traced concurrency seam",
-        hint: "use arbitree_race's TracedMutex / TracedRwLock / traced_channel / scope so the race detector observes the synchronization; only crates/race/src may touch the raw primitives",
+        hint: "use arbitree_race's TracedMutex / traced_channel / scope so the race detector observes the synchronization; only crates/race/src may touch the raw primitives",
     },
     Rule {
         id: "D012",
@@ -263,7 +263,7 @@ fn has_method_call(code: &str, name: &str) -> bool {
 
 /// Matches any slice-sorting method call (`.sort()`, `.sort_by_key(...)`,
 /// `.sort_unstable_by(...)` …) — used by the D010 ordering pass in
-/// `lib.rs` to recognise a lock plan being put into canonical stripe
+/// `lib.rs` to recognise a lock plan being put into ascending object
 /// order before acquisition.
 pub(crate) fn has_sort_method_call(code: &str) -> bool {
     const SORTS: &[&str] = &[

@@ -1,5 +1,5 @@
 //@ path: crates/sim/src/coordinator.rs
-// Canonical stripe order first: concurrent transactions then acquire in
+// Ascending object order first: concurrent transactions then acquire in
 // the same global order, so no wait cycle can form. Test modules are
 // exempt — single-threaded unit tests can't deadlock themselves.
 

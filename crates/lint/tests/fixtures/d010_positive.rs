@@ -1,6 +1,6 @@
 //@ path: crates/sim/src/coordinator.rs
-// Multi-stripe acquisition straight off the caller's plan: two
-// transactions walking the same stripes in different orders can deadlock
+// Multi-object acquisition straight off the caller's plan: two
+// transactions walking the same objects in different orders can deadlock
 // under 2PL. No ordering pass appears anywhere above the acquire.
 
 fn lock_all(&mut self, op: OpId, plan: &[(ObjectId, LockMode)]) -> bool {

@@ -2,12 +2,11 @@
 // A Mutex mentioned in prose never fires; the traced wrappers, the atomic
 // escape hatch, and test-module usage are all clean; and a genuinely raw
 // primitive may survive behind a reasoned suppression.
-use arbitree_race::{scope, traced_channel, TracedMutex, TracedRwLock};
+use arbitree_race::{scope, traced_channel, TracedMutex};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 pub fn traced_concurrency() -> usize {
     let m = TracedMutex::new(0u32);
-    let l = TracedRwLock::new(Vec::<u32>::new());
     let (tx, rx) = traced_channel::<u32>();
     let n = AtomicUsize::new(0);
     let threads = std::thread::available_parallelism().map_or(1, |t| t.get());
@@ -16,7 +15,7 @@ pub fn traced_concurrency() -> usize {
         h.join()
     });
     let banner = "thread::spawn and Mutex::new in a string";
-    drop((m, l, rx, banner, r));
+    drop((m, rx, banner, r));
     n.load(Ordering::Relaxed) + threads
 }
 

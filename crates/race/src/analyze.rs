@@ -415,13 +415,7 @@ mod tests {
     }
 
     fn acq(t: u32, l: u64) -> RaceEvent {
-        ev(
-            t,
-            EventKind::Acquire {
-                lock: LockId(l),
-                shared: false,
-            },
-        )
+        ev(t, EventKind::Acquire { lock: LockId(l) })
     }
 
     fn rel(t: u32, l: u64) -> RaceEvent {

@@ -12,9 +12,8 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ThreadId(pub u32);
 
-/// Identifier of a traced lock (a [`TracedMutex`](crate::TracedMutex), a
-/// [`TracedRwLock`](crate::TracedRwLock), or a raw lock id from the shadow
-/// seam).
+/// Identifier of a traced lock (a [`TracedMutex`](crate::TracedMutex) or a
+/// raw lock id from the shadow seam).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LockId(pub u64);
 
@@ -43,12 +42,10 @@ pub enum EventKind {
         /// The joined thread.
         child: ThreadId,
     },
-    /// The recording thread acquired `lock` (`shared` for a read lock).
+    /// The recording thread acquired `lock`.
     Acquire {
         /// The lock acquired.
         lock: LockId,
-        /// Whether the acquisition is shared (rwlock read) or exclusive.
-        shared: bool,
     },
     /// The recording thread released `lock`.
     Release {
@@ -99,11 +96,7 @@ impl fmt::Display for RaceEvent {
         match self.kind {
             EventKind::Fork { child } => write!(f, "fork t{}", child.0),
             EventKind::Join { child } => write!(f, "join t{}", child.0),
-            EventKind::Acquire { lock, shared: true } => write!(f, "acquire-shared L{}", lock.0),
-            EventKind::Acquire {
-                lock,
-                shared: false,
-            } => write!(f, "acquire L{}", lock.0),
+            EventKind::Acquire { lock } => write!(f, "acquire L{}", lock.0),
             EventKind::Release { lock } => write!(f, "release L{}", lock.0),
             EventKind::Send { chan, msg } => write!(f, "send m{} on ch{}", msg, chan.0),
             EventKind::Recv { chan, msg } => write!(f, "recv m{} from ch{}", msg, chan.0),
@@ -133,10 +126,7 @@ mod tests {
     fn events_render_compactly() {
         let ev = RaceEvent {
             thread: ThreadId(3),
-            kind: EventKind::Acquire {
-                lock: LockId(7),
-                shared: false,
-            },
+            kind: EventKind::Acquire { lock: LockId(7) },
         };
         assert_eq!(ev.to_string(), "t3 acquire L7");
         let ev = RaceEvent {

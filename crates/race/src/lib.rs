@@ -4,9 +4,9 @@
 //! The registry is unreachable, so this is a self-contained dynamic
 //! detector rather than a loom/tsan integration. It has three parts:
 //!
-//! 1. **Traced primitives** — [`TracedMutex`], [`TracedRwLock`], traced
-//!    channels ([`traced_channel`]) and traced scoped threads ([`scope`]).
-//!    With the `race-audit` feature off (the default) they are zero-cost
+//! 1. **Traced primitives** — [`TracedMutex`], traced channels
+//!    ([`traced_channel`]) and traced scoped threads ([`scope`]). With the
+//!    `race-audit` feature off (the default) they are zero-cost
 //!    passthroughs to `std`/crossbeam; with it on, every acquire, release,
 //!    send, receive, fork, join, and guarded access is recorded into a
 //!    lock-free event log.
@@ -22,12 +22,10 @@
 //! Recording discipline: wrap the run in a [`Session`]
 //! (`race-audit` only), join every thread you spawn before finishing it,
 //! and analyze the drained log. Traced primitives used with no live
-//! session record nothing.
+//! session, or from a thread outside it, record nothing.
 //!
-//! Known blind spots (by design, documented in DESIGN.md §13): raw atomics
-//! are invisible (spin-flag protocols must still be joined or channeled),
-//! and a shared (read) rwlock acquisition contributes to the candidate
-//! lockset even though it excludes only writers.
+//! Known blind spot (by design, documented in DESIGN.md §13): raw atomics
+//! are invisible (spin-flag protocols must still be joined or channeled).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -56,4 +54,4 @@ pub use report::{Finding, FindingKind, RaceReport};
 pub use scope::{scope, Scope, ScopeResult, ScopedJoinHandle};
 #[cfg(feature = "race-audit")]
 pub use shadow::ShadowCell;
-pub use sync::{TracedMutex, TracedMutexGuard, TracedReadGuard, TracedRwLock, TracedWriteGuard};
+pub use sync::{TracedMutex, TracedMutexGuard};

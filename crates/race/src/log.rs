@@ -8,10 +8,13 @@
 //! Recording is scoped by a [`Session`]: events land in the log only while
 //! a session is live, and [`Session::finish`] drains them into a
 //! [`SessionLog`] for [`analyze`](crate::analyze::analyze). Sessions are
-//! serialized process-wide by a static gate so concurrent tests cannot
-//! interleave their events.
+//! serialized process-wide by a static gate, and only threads that belong
+//! to the live session record: the thread that started it, and every
+//! thread a member forks through a traced [`scope`](fn@crate::scope). A
+//! concurrently running test that uses traced primitives without a session
+//! therefore cannot interleave its events with the session's.
 
-use std::cell::UnsafeCell;
+use std::cell::{Cell, UnsafeCell};
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
@@ -92,13 +95,18 @@ impl EventLog {
 }
 
 static LOG: OnceLock<EventLog> = OnceLock::new();
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// Epoch of the live session, `0` when none is live.
+static LIVE: AtomicU64 = AtomicU64::new(0);
+/// Epochs handed out so far; each session gets a fresh nonzero one.
+static EPOCHS: AtomicU64 = AtomicU64::new(0);
 static GATE: Mutex<()> = Mutex::new(());
 static NEXT_THREAD: AtomicU32 = AtomicU32::new(0);
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
 thread_local! {
-    static TID: std::cell::Cell<Option<u32>> = const { std::cell::Cell::new(None) };
+    static TID: Cell<Option<u32>> = const { Cell::new(None) };
+    /// Epoch of the session this thread belongs to (`0`: none yet).
+    static MEMBER: Cell<u64> = const { Cell::new(0) };
 }
 
 /// The thread id of the current thread, assigning a fresh one on first use.
@@ -114,16 +122,30 @@ pub fn current_thread() -> ThreadId {
     })
 }
 
-/// Pre-allocate a thread id for a thread about to be spawned, so the parent
-/// can record the `Fork` edge before the child runs.
-pub fn fresh_thread_id() -> ThreadId {
-    ThreadId(NEXT_THREAD.fetch_add(1, Ordering::Relaxed))
+/// The identity of a thread about to be spawned: its pre-allocated id, so
+/// the parent can record the `Fork` edge before the child runs, and the
+/// session the parent belongs to, which the child joins.
+#[derive(Debug, Clone, Copy)]
+pub struct Child {
+    /// The child's thread id.
+    pub id: ThreadId,
+    epoch: u64,
 }
 
-/// Adopt a pre-allocated thread id as the current thread's identity. Called
-/// first thing inside a traced spawn's closure.
-pub fn adopt(id: ThreadId) {
-    TID.with(|t| t.set(Some(id.0)));
+/// Pre-allocate the identity of a thread the current thread is about to
+/// spawn.
+pub fn fresh_child() -> Child {
+    Child {
+        id: ThreadId(NEXT_THREAD.fetch_add(1, Ordering::Relaxed)),
+        epoch: MEMBER.with(Cell::get),
+    }
+}
+
+/// Adopt a pre-allocated identity as the current thread's. Called first
+/// thing inside a traced spawn's closure.
+pub fn adopt(child: Child) {
+    TID.with(|t| t.set(Some(child.id.0)));
+    MEMBER.with(|m| m.set(child.epoch));
 }
 
 /// Mint a process-unique id for a lock, cell, channel, or message.
@@ -132,9 +154,11 @@ pub fn fresh_id() -> u64 {
 }
 
 /// Record one event on behalf of the current thread. A no-op when no
-/// session is live, so traced primitives are always safe to use.
+/// session is live or the current thread does not belong to it, so traced
+/// primitives are always safe to use.
 pub fn record(kind: EventKind) {
-    if !ENABLED.load(Ordering::Relaxed) {
+    let live = LIVE.load(Ordering::Relaxed);
+    if live == 0 || MEMBER.with(Cell::get) != live {
         return;
     }
     let log = match LOG.get() {
@@ -156,7 +180,9 @@ pub fn record(kind: EventKind) {
 /// recorders have quiesced. Traced scopes enforce this structurally.
 ///
 /// Sessions are serialized process-wide: starting one blocks until any
-/// other session (e.g. in a concurrently running test) finishes.
+/// other session (e.g. in a concurrently running test) finishes. Only the
+/// starting thread and the threads it transitively forks through traced
+/// scopes record into it.
 #[derive(Debug)]
 pub struct Session {
     _gate: MutexGuard<'static, ()>,
@@ -164,11 +190,14 @@ pub struct Session {
 }
 
 impl Session {
-    /// Start recording. Blocks until any other live session finishes.
+    /// Start recording on the current thread. Blocks until any other live
+    /// session finishes.
     pub fn start() -> Session {
         let gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
         LOG.get_or_init(EventLog::new);
-        ENABLED.store(true, Ordering::SeqCst);
+        let epoch = EPOCHS.fetch_add(1, Ordering::Relaxed) + 1;
+        MEMBER.with(|m| m.set(epoch));
+        LIVE.store(epoch, Ordering::SeqCst);
         Session {
             _gate: gate,
             done: false,
@@ -178,7 +207,7 @@ impl Session {
     /// Stop recording and drain the log.
     pub fn finish(mut self) -> SessionLog {
         self.done = true;
-        ENABLED.store(false, Ordering::SeqCst);
+        LIVE.store(0, Ordering::SeqCst);
         LOG.get().map(EventLog::drain).unwrap_or_default()
     }
 }
@@ -188,7 +217,7 @@ impl Drop for Session {
         if !self.done {
             // Abandoned (e.g. a test panicked): disable and clear the log
             // so the next session starts clean.
-            ENABLED.store(false, Ordering::SeqCst);
+            LIVE.store(0, Ordering::SeqCst);
             if let Some(log) = LOG.get() {
                 let _ = log.drain();
             }
@@ -213,10 +242,7 @@ mod tests {
     #[test]
     fn session_drains_in_claim_order() {
         let session = Session::start();
-        record(EventKind::Acquire {
-            lock: LockId(9),
-            shared: false,
-        });
+        record(EventKind::Acquire { lock: LockId(9) });
         record(EventKind::Write { cell: CellId(4) });
         record(EventKind::Release { lock: LockId(9) });
         let log = session.finish();
@@ -229,21 +255,34 @@ mod tests {
 
     #[test]
     fn threads_get_distinct_ids_and_fork_preallocation_works() {
-        let parent = current_thread();
-        let child = fresh_thread_id();
-        assert_ne!(parent, child);
         let session = Session::start();
-        record(EventKind::Fork { child });
+        let parent = current_thread();
+        let child = fresh_child();
+        assert_ne!(parent, child.id);
+        record(EventKind::Fork { child: child.id });
         let handle = std::thread::spawn(move || {
             adopt(child);
             record(EventKind::Write { cell: CellId(7) });
         });
         handle.join().unwrap();
-        record(EventKind::Join { child });
+        record(EventKind::Join { child: child.id });
         let log = session.finish();
         assert_eq!(log.events.len(), 3);
         assert_eq!(log.events[0].thread, parent);
-        assert_eq!(log.events[1].thread, child);
+        assert_eq!(log.events[1].thread, child.id);
         assert_eq!(log.events[2].thread, parent);
+    }
+
+    #[test]
+    fn threads_outside_the_session_do_not_record_into_it() {
+        let session = Session::start();
+        record(EventKind::Write { cell: CellId(1) });
+        // Not forked by a member: like a concurrently running test's thread.
+        std::thread::spawn(|| record(EventKind::Write { cell: CellId(2) }))
+            .join()
+            .unwrap();
+        let log = session.finish();
+        let kinds: Vec<_> = log.events.iter().map(|e| e.kind).collect();
+        assert_eq!(kinds, vec![EventKind::Write { cell: CellId(1) }]);
     }
 }

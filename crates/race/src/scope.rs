@@ -3,8 +3,9 @@
 //!
 //! [`Scope::spawn`] allocates the child's thread id *in the parent* and
 //! records the `Fork` event before the child can run, so the edge is always
-//! well-ordered in the log. [`ScopedJoinHandle::join`] records the `Join`
-//! edge after the child has fully stopped.
+//! well-ordered in the log; the child joins the parent's recording session.
+//! [`ScopedJoinHandle::join`] records the `Join` edge after the child has
+//! fully stopped.
 //!
 //! Caveat (documented discipline, enforced by the clean-run smoke suite):
 //! a spawned thread that is never explicitly joined is still joined
@@ -18,7 +19,7 @@ use std::fmt;
 #[cfg(feature = "race-audit")]
 use crate::event::{EventKind, ThreadId};
 #[cfg(feature = "race-audit")]
-use crate::log::{adopt, fresh_thread_id, record};
+use crate::log::{adopt, fresh_child, record};
 
 /// Result of a scoped thread or scope: `Err` carries the panic payload.
 pub type ScopeResult<T> = std::result::Result<T, Box<dyn Any + Send + 'static>>;
@@ -64,8 +65,8 @@ impl<'scope, 'env> Scope<'scope, 'env> {
     {
         #[cfg(feature = "race-audit")]
         let child = {
-            let child = fresh_thread_id();
-            record(EventKind::Fork { child });
+            let child = fresh_child();
+            record(EventKind::Fork { child: child.id });
             child
         };
         let inner = self.inner.spawn(move |cs| {
@@ -76,7 +77,7 @@ impl<'scope, 'env> Scope<'scope, 'env> {
         ScopedJoinHandle {
             inner,
             #[cfg(feature = "race-audit")]
-            child,
+            child: child.id,
         }
     }
 }

@@ -49,10 +49,7 @@ pub fn fresh_lock() -> LockId {
 
 /// Record an exclusive acquisition of `lock` without any real locking.
 pub fn raw_acquire(lock: LockId) {
-    record(EventKind::Acquire {
-        lock,
-        shared: false,
-    });
+    record(EventKind::Acquire { lock });
 }
 
 /// Record a release of `lock` without any real unlocking.

@@ -1,7 +1,7 @@
-//! Traced lock wrappers: drop-in replacements for `std::sync::Mutex` and
-//! `std::sync::RwLock` that record acquire/release events and shadow the
-//! protected value with one [`CellId`](crate::event::CellId) whose accesses
-//! (guard deref / deref-mut) are recorded too.
+//! The traced lock wrapper: a drop-in replacement for `std::sync::Mutex`
+//! that records acquire/release events and shadows the protected value
+//! with one [`CellId`](crate::event::CellId) whose accesses (guard deref /
+//! deref-mut) are recorded too.
 //!
 //! With the `race-audit` feature off every method is a plain passthrough —
 //! the wrapper holds nothing but the std primitive and the recording calls
@@ -13,7 +13,7 @@
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 #[cfg(feature = "race-audit")]
 use crate::event::{CellId, EventKind, LockId};
@@ -47,10 +47,7 @@ impl<T> TracedMutex<T> {
     pub fn lock(&self) -> TracedMutexGuard<'_, T> {
         let guard = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         #[cfg(feature = "race-audit")]
-        record(EventKind::Acquire {
-            lock: self.lock,
-            shared: false,
-        });
+        record(EventKind::Acquire { lock: self.lock });
         TracedMutexGuard {
             guard,
             #[cfg(feature = "race-audit")]
@@ -129,166 +126,6 @@ impl<T: fmt::Debug> fmt::Debug for TracedMutexGuard<'_, T> {
     }
 }
 
-/// A reader-writer lock whose acquisitions are recorded when `race-audit`
-/// is on; a zero-cost `std::sync::RwLock` otherwise.
-///
-/// Known blind spot (documented false-negative): two threads that both hold
-/// the *read* lock and write the protected value through interior
-/// mutability appear protected to the lockset pass, because shared
-/// acquisitions still contribute the lock to the candidate set.
-pub struct TracedRwLock<T> {
-    inner: RwLock<T>,
-    #[cfg(feature = "race-audit")]
-    lock: LockId,
-    #[cfg(feature = "race-audit")]
-    cell: CellId,
-}
-
-impl<T> TracedRwLock<T> {
-    /// Create a traced rwlock protecting `value`.
-    pub fn new(value: T) -> Self {
-        TracedRwLock {
-            inner: RwLock::new(value),
-            #[cfg(feature = "race-audit")]
-            lock: LockId(fresh_id()),
-            #[cfg(feature = "race-audit")]
-            cell: CellId(fresh_id()),
-        }
-    }
-
-    /// Acquire a shared read guard.
-    pub fn read(&self) -> TracedReadGuard<'_, T> {
-        let guard = self.inner.read().unwrap_or_else(PoisonError::into_inner);
-        #[cfg(feature = "race-audit")]
-        record(EventKind::Acquire {
-            lock: self.lock,
-            shared: true,
-        });
-        TracedReadGuard {
-            guard,
-            #[cfg(feature = "race-audit")]
-            lock: self.lock,
-            #[cfg(feature = "race-audit")]
-            cell: self.cell,
-        }
-    }
-
-    /// Acquire an exclusive write guard.
-    pub fn write(&self) -> TracedWriteGuard<'_, T> {
-        let guard = self.inner.write().unwrap_or_else(PoisonError::into_inner);
-        #[cfg(feature = "race-audit")]
-        record(EventKind::Acquire {
-            lock: self.lock,
-            shared: false,
-        });
-        TracedWriteGuard {
-            guard,
-            #[cfg(feature = "race-audit")]
-            lock: self.lock,
-            #[cfg(feature = "race-audit")]
-            cell: self.cell,
-        }
-    }
-
-    /// Mutable access without locking (requires exclusive ownership).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Consume the lock and return the protected value.
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl<T: Default> Default for TracedRwLock<T> {
-    fn default() -> Self {
-        TracedRwLock::new(T::default())
-    }
-}
-
-impl<T: fmt::Debug> fmt::Debug for TracedRwLock<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TracedRwLock")
-            .field("inner", &self.inner)
-            .finish()
-    }
-}
-
-/// Shared read guard for a [`TracedRwLock`].
-pub struct TracedReadGuard<'a, T> {
-    guard: RwLockReadGuard<'a, T>,
-    #[cfg(feature = "race-audit")]
-    lock: LockId,
-    #[cfg(feature = "race-audit")]
-    cell: CellId,
-}
-
-impl<T> Deref for TracedReadGuard<'_, T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        #[cfg(feature = "race-audit")]
-        record(EventKind::Read { cell: self.cell });
-        &self.guard
-    }
-}
-
-impl<T> Drop for TracedReadGuard<'_, T> {
-    fn drop(&mut self) {
-        #[cfg(feature = "race-audit")]
-        record(EventKind::Release { lock: self.lock });
-    }
-}
-
-impl<T: fmt::Debug> fmt::Debug for TracedReadGuard<'_, T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&*self.guard, f)
-    }
-}
-
-/// Exclusive write guard for a [`TracedRwLock`].
-pub struct TracedWriteGuard<'a, T> {
-    guard: RwLockWriteGuard<'a, T>,
-    #[cfg(feature = "race-audit")]
-    lock: LockId,
-    #[cfg(feature = "race-audit")]
-    cell: CellId,
-}
-
-impl<T> Deref for TracedWriteGuard<'_, T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        #[cfg(feature = "race-audit")]
-        record(EventKind::Read { cell: self.cell });
-        &self.guard
-    }
-}
-
-impl<T> DerefMut for TracedWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        #[cfg(feature = "race-audit")]
-        record(EventKind::Write { cell: self.cell });
-        &mut self.guard
-    }
-}
-
-impl<T> Drop for TracedWriteGuard<'_, T> {
-    fn drop(&mut self) {
-        #[cfg(feature = "race-audit")]
-        record(EventKind::Release { lock: self.lock });
-    }
-}
-
-impl<T: fmt::Debug> fmt::Debug for TracedWriteGuard<'_, T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&*self.guard, f)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,14 +136,6 @@ mod tests {
         *m.lock() += 5;
         assert_eq!(*m.lock(), 15);
         assert_eq!(m.into_inner(), 15);
-    }
-
-    #[test]
-    fn rwlock_roundtrip() {
-        let l = TracedRwLock::new(vec![1, 2]);
-        l.write().push(3);
-        assert_eq!(l.read().len(), 3);
-        assert_eq!(l.into_inner(), vec![1, 2, 3]);
     }
 
     #[cfg(feature = "race-audit")]
@@ -320,7 +149,7 @@ mod tests {
         *m.lock() = 1;
         let log = session.finish();
         let kinds: Vec<_> = log.events.iter().map(|e| e.kind).collect();
-        assert!(matches!(kinds[0], EventKind::Acquire { shared: false, .. }));
+        assert!(matches!(kinds[0], EventKind::Acquire { .. }));
         assert!(matches!(kinds[1], EventKind::Write { .. }));
         assert!(matches!(kinds[2], EventKind::Release { .. }));
     }

@@ -94,9 +94,7 @@ impl Coordinator {
             })
             .collect();
         Coordinator {
-            // One lock stripe per shard, same hash: lock traffic on
-            // different shards never meets in one table.
-            locks: LockManager::striped(config.shards),
+            locks: LockManager::new(),
             checker: ConsistencyChecker::new(),
             clients,
             ops: DetMap::new(),

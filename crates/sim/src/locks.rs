@@ -2,24 +2,13 @@
 //! lock manager shared by all clients, with FIFO queueing (no starvation)
 //! and shared read locks.
 //!
-//! The table is *striped*: objects hash onto per-shard lock tables with the
-//! same [`arbitree_quorum::shard_index`] map the coordinator uses for
-//! protocol routing. Each stripe is guarded by its own
-//! [`TracedMutex`], so the manager is shared across real threads (`&self`
-//! methods) and transactions on different shards never contend on the same
-//! stripe lock — under the `race-audit` feature every stripe acquisition
-//! is recorded for the arbitree-race detector. Striping is purely an
-//! indexing layout: grant/queue semantics are those of one global table,
-//! and deadlock freedom still comes from the coordinator acquiring object
-//! locks in globally ascending order (a total order across every stripe).
-//! No operation ever holds two stripe locks at once, except
-//! [`locked_objects`](LockManager::locked_objects) which sweeps stripes in
-//! ascending index order.
+//! The manager is one table from object to holders and FIFO wait queue,
+//! owned by the single-threaded coordinator. Deadlock freedom comes from
+//! the coordinator acquiring a transaction's object locks in ascending
+//! object order (a total order), so no wait-for cycle can form.
 
 use crate::message::{ObjectId, OpId};
 use arbitree_core::DetMap;
-use arbitree_quorum::shard_index;
-use arbitree_race::TracedMutex;
 use std::collections::VecDeque;
 
 /// Lock mode requested by an operation.
@@ -46,53 +35,17 @@ impl LockState {
     }
 }
 
-/// One stripe's lock table.
+/// The lock manager: each object with live lock state maps to its holders
+/// and its FIFO wait queue.
 #[derive(Debug, Default)]
-struct LockTable {
+pub struct LockManager {
     objects: DetMap<ObjectId, LockState>,
 }
 
-/// The lock manager: one mutex-guarded [`LockTable`] per stripe.
-#[derive(Debug)]
-pub struct LockManager {
-    stripes: Vec<TracedMutex<LockTable>>,
-}
-
-impl Default for LockManager {
-    fn default() -> Self {
-        LockManager::new()
-    }
-}
-
 impl LockManager {
-    /// Creates an unstriped (single-table) lock manager.
+    /// Creates an empty lock manager.
     pub fn new() -> Self {
-        LockManager::striped(1)
-    }
-
-    /// Creates a lock manager with `stripes` independent tables, objects
-    /// hashed across them by [`shard_index`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stripes == 0`.
-    pub fn striped(stripes: usize) -> Self {
-        assert!(stripes > 0, "need at least one stripe");
-        LockManager {
-            stripes: (0..stripes)
-                .map(|_| TracedMutex::new(LockTable::default()))
-                .collect(),
-        }
-    }
-
-    /// Number of stripes.
-    pub fn stripe_count(&self) -> usize {
-        self.stripes.len()
-    }
-
-    /// The stripe `obj` hashes to.
-    pub fn stripe_of(&self, obj: ObjectId) -> usize {
-        shard_index(u64::from(obj.0), self.stripes.len())
+        LockManager::default()
     }
 
     /// Requests a lock. Returns `true` if granted immediately; otherwise the
@@ -101,9 +54,8 @@ impl LockManager {
     ///
     /// A read request is only granted immediately when nothing is queued
     /// ahead of it, so writers are never starved by a stream of readers.
-    pub fn acquire(&self, op: OpId, obj: ObjectId, mode: LockMode) -> bool {
-        let mut table = self.stripes[self.stripe_of(obj)].lock();
-        let state = table.objects.entry(obj).or_default();
+    pub fn acquire(&mut self, op: OpId, obj: ObjectId, mode: LockMode) -> bool {
+        let state = self.objects.entry(obj).or_default();
         debug_assert!(
             !state.holders.iter().any(|(o, _)| *o == op),
             "operation already holds this lock"
@@ -120,9 +72,8 @@ impl LockManager {
     /// Releases `op`'s lock (or queued request) on `obj`, returning the
     /// operations whose queued requests are granted as a result, in FIFO
     /// order.
-    pub fn release(&self, op: OpId, obj: ObjectId) -> Vec<OpId> {
-        let mut table = self.stripes[self.stripe_of(obj)].lock();
-        let Some(state) = table.objects.get_mut(&obj) else {
+    pub fn release(&mut self, op: OpId, obj: ObjectId) -> Vec<OpId> {
+        let Some(state) = self.objects.get_mut(&obj) else {
             return Vec::new();
         };
         state.holders.retain(|(o, _)| *o != op);
@@ -142,34 +93,26 @@ impl LockManager {
             }
         }
         if state.holders.is_empty() && state.queue.is_empty() {
-            table.objects.remove(&obj);
+            self.objects.remove(&obj);
         }
         granted
     }
 
     /// Whether `op` currently holds a lock on `obj`.
     pub fn holds(&self, op: OpId, obj: ObjectId) -> bool {
-        self.stripes[self.stripe_of(obj)]
-            .lock()
-            .objects
+        self.objects
             .get(&obj)
             .is_some_and(|s| s.holders.iter().any(|(o, _)| *o == op))
     }
 
     /// Number of operations waiting on `obj`.
     pub fn queue_len(&self, obj: ObjectId) -> usize {
-        self.stripes[self.stripe_of(obj)]
-            .lock()
-            .objects
-            .get(&obj)
-            .map_or(0, |s| s.queue.len())
+        self.objects.get(&obj).map_or(0, |s| s.queue.len())
     }
 
-    /// Total number of objects with live lock state, across all stripes
-    /// (tests, invariants). Locks stripes one at a time in ascending index
-    /// order.
+    /// Number of objects with live lock state (tests, invariants).
     pub fn locked_objects(&self) -> usize {
-        self.stripes.iter().map(|t| t.lock().objects.len()).sum()
+        self.objects.len()
     }
 }
 
@@ -181,7 +124,7 @@ mod tests {
 
     #[test]
     fn readers_share_writers_exclude() {
-        let lm = LockManager::new();
+        let mut lm = LockManager::new();
         assert!(lm.acquire(OpId(1), OBJ, LockMode::Read));
         assert!(lm.acquire(OpId(2), OBJ, LockMode::Read));
         assert!(!lm.acquire(OpId(3), OBJ, LockMode::Write));
@@ -194,7 +137,7 @@ mod tests {
 
     #[test]
     fn fifo_prevents_reader_starvation() {
-        let lm = LockManager::new();
+        let mut lm = LockManager::new();
         assert!(lm.acquire(OpId(1), OBJ, LockMode::Read));
         assert!(!lm.acquire(OpId(2), OBJ, LockMode::Write));
         // A new reader must queue behind the waiting writer.
@@ -207,7 +150,7 @@ mod tests {
 
     #[test]
     fn consecutive_readers_granted_together() {
-        let lm = LockManager::new();
+        let mut lm = LockManager::new();
         assert!(lm.acquire(OpId(1), OBJ, LockMode::Write));
         assert!(!lm.acquire(OpId(2), OBJ, LockMode::Read));
         assert!(!lm.acquire(OpId(3), OBJ, LockMode::Read));
@@ -221,7 +164,7 @@ mod tests {
 
     #[test]
     fn release_of_queued_request_cancels_it() {
-        let lm = LockManager::new();
+        let mut lm = LockManager::new();
         assert!(lm.acquire(OpId(1), OBJ, LockMode::Write));
         assert!(!lm.acquire(OpId(2), OBJ, LockMode::Write));
         // Op 2 gives up while queued.
@@ -232,65 +175,16 @@ mod tests {
 
     #[test]
     fn objects_are_independent() {
-        let lm = LockManager::new();
+        let mut lm = LockManager::new();
         assert!(lm.acquire(OpId(1), ObjectId(0), LockMode::Write));
         assert!(lm.acquire(OpId(2), ObjectId(1), LockMode::Write));
     }
 
     #[test]
     fn table_shrinks_when_idle() {
-        let lm = LockManager::new();
+        let mut lm = LockManager::new();
         lm.acquire(OpId(1), OBJ, LockMode::Write);
         lm.release(OpId(1), OBJ);
         assert_eq!(lm.locked_objects(), 0);
-    }
-
-    #[test]
-    fn striping_routes_objects_consistently() {
-        let lm = LockManager::striped(4);
-        assert_eq!(lm.stripe_count(), 4);
-        for o in 0..64u32 {
-            let obj = ObjectId(o);
-            assert_eq!(lm.stripe_of(obj), shard_index(u64::from(o), 4));
-            assert!(lm.acquire(OpId(u64::from(o)), obj, LockMode::Write));
-            assert!(lm.holds(OpId(u64::from(o)), obj));
-        }
-        assert_eq!(lm.locked_objects(), 64);
-        for o in 0..64u32 {
-            assert!(lm.release(OpId(u64::from(o)), ObjectId(o)).is_empty());
-        }
-        assert_eq!(lm.locked_objects(), 0);
-    }
-
-    #[test]
-    fn manager_is_shareable_across_threads() {
-        let lm = LockManager::striped(4);
-        arbitree_race::scope(|s| {
-            let handles: Vec<_> = (0..4u32)
-                .map(|t| {
-                    let lm = &lm;
-                    s.spawn(move |_| {
-                        for o in (t * 16)..(t * 16 + 16) {
-                            let obj = ObjectId(o);
-                            let op = OpId(u64::from(o));
-                            assert!(lm.acquire(op, obj, LockMode::Write));
-                            assert!(lm.holds(op, obj));
-                            assert!(lm.release(op, obj).is_empty());
-                        }
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join().unwrap();
-            }
-        })
-        .unwrap();
-        assert_eq!(lm.locked_objects(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one stripe")]
-    fn zero_stripes_rejected() {
-        let _ = LockManager::striped(0);
     }
 }

@@ -1,15 +1,15 @@
-//! Property tests for the striped lock manager.
+//! Property tests for the lock manager.
 //!
-//! Striping is supposed to be a pure indexing layout: every observable of
-//! [`LockManager`] — grant decisions, FIFO wake-ups, `holds`, queue depths
-//! — must be identical whatever the stripe count. And the coordinator's
-//! deadlock-freedom argument (locks acquired in globally ascending object
-//! order, a total order across stripes) must hold for *random* multi-key
-//! transactions, not just the shapes the simulator happens to produce.
+//! Every observable of [`LockManager`] — grant decisions, FIFO wake-ups,
+//! `holds`, queue depths — must match a reference model that knows only
+//! the arrival order of each object's live requests. And the coordinator's
+//! deadlock-freedom argument (locks acquired in ascending object order, a
+//! total order) must hold for *random* multi-key transactions, not just
+//! the shapes the simulator happens to produce.
 
 use arbitree_sim::{LockManager, LockMode, ObjectId, OpId};
 use proptest::prelude::*;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// One scripted lock-manager call.
 #[derive(Debug, Clone)]
@@ -28,66 +28,117 @@ fn call_strategy() -> impl Strategy<Value = Call> {
     })
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// Reference model: each object's live requests (held or queued) in
+/// arrival order. The granted requests are the longest prefix that is
+/// either one write or reads only.
+#[derive(Default)]
+struct Model {
+    requests: BTreeMap<u32, Vec<(u64, LockMode)>>,
+}
 
-    /// Any call script observes the same behaviour from a 1-stripe and a
-    /// many-stripe manager: same immediate grants, same wake-up lists,
-    /// same holder/queue state after every step.
+impl Model {
+    fn granted(&self, obj: u32) -> Vec<u64> {
+        let Some(reqs) = self.requests.get(&obj) else {
+            return Vec::new();
+        };
+        match reqs.first() {
+            Some(&(op, LockMode::Write)) => vec![op],
+            _ => reqs
+                .iter()
+                .take_while(|(_, m)| *m == LockMode::Read)
+                .map(|(op, _)| *op)
+                .collect(),
+        }
+    }
+
+    fn acquire(&mut self, op: u64, obj: u32, mode: LockMode) -> bool {
+        self.requests.entry(obj).or_default().push((op, mode));
+        self.granted(obj).contains(&op)
+    }
+
+    /// The requests granted by removing `op`'s, in arrival order.
+    fn release(&mut self, op: u64, obj: u32) -> Vec<u64> {
+        let before = self.granted(obj);
+        if let Some(reqs) = self.requests.get_mut(&obj) {
+            reqs.retain(|(o, _)| *o != op);
+            if reqs.is_empty() {
+                self.requests.remove(&obj);
+            }
+        }
+        self.granted(obj)
+            .into_iter()
+            .filter(|o| !before.contains(o))
+            .collect()
+    }
+
+    fn queue_len(&self, obj: u32) -> usize {
+        self.requests.get(&obj).map_or(0, Vec::len) - self.granted(obj).len()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Any call script observes the model's behaviour: same immediate
+    /// grants, same wake-up lists in FIFO order, same holder/queue state
+    /// after every step.
     #[test]
-    fn striping_is_observably_equivalent_to_one_table(
+    fn manager_matches_arrival_order_model(
         script in proptest::collection::vec(call_strategy(), 1..80),
-        stripes in 2usize..9,
     ) {
-        let flat = LockManager::new();
-        let striped = LockManager::striped(stripes);
+        let mut lm = LockManager::new();
+        let mut model = Model::default();
         // (op, obj) pairs with a live acquire (held or queued), so the
         // script never re-acquires a held lock (a caller contract).
         let mut live: BTreeSet<(u64, u32)> = BTreeSet::new();
         for call in script {
             match call {
                 Call::Acquire { op, obj, write } => {
-                    if live.contains(&(op, obj)) {
+                    if !live.insert((op, obj)) {
                         continue;
                     }
-                    live.insert((op, obj));
                     let mode = if write { LockMode::Write } else { LockMode::Read };
-                    let a = flat.acquire(OpId(op), ObjectId(obj), mode);
-                    let b = striped.acquire(OpId(op), ObjectId(obj), mode);
-                    prop_assert_eq!(a, b, "grant decision diverged on {:?}", (op, obj));
+                    prop_assert_eq!(
+                        lm.acquire(OpId(op), ObjectId(obj), mode),
+                        model.acquire(op, obj, mode),
+                        "grant decision diverged on {:?}", (op, obj)
+                    );
                 }
                 Call::Release { op, obj } => {
                     live.remove(&(op, obj));
-                    let a = flat.release(OpId(op), ObjectId(obj));
-                    let b = striped.release(OpId(op), ObjectId(obj));
-                    prop_assert_eq!(a, b, "wake-up list diverged on {:?}", (op, obj));
-                }
-            }
-            for op in 0u64..12 {
-                for obj in 0u32..24 {
+                    let woken: Vec<u64> =
+                        lm.release(OpId(op), ObjectId(obj)).iter().map(|o| o.0).collect();
                     prop_assert_eq!(
-                        flat.holds(OpId(op), ObjectId(obj)),
-                        striped.holds(OpId(op), ObjectId(obj))
+                        woken,
+                        model.release(op, obj),
+                        "wake-up list diverged on {:?}", (op, obj)
                     );
                 }
             }
             for obj in 0u32..24 {
-                prop_assert_eq!(flat.queue_len(ObjectId(obj)), striped.queue_len(ObjectId(obj)));
+                let granted = model.granted(obj);
+                for op in 0u64..12 {
+                    prop_assert_eq!(
+                        lm.holds(OpId(op), ObjectId(obj)),
+                        granted.contains(&op),
+                        "holds diverged on {:?}", (op, obj)
+                    );
+                }
+                prop_assert_eq!(lm.queue_len(ObjectId(obj)), model.queue_len(obj));
             }
-            prop_assert_eq!(flat.locked_objects(), striped.locked_objects());
+            prop_assert_eq!(lm.locked_objects(), model.requests.len());
         }
     }
 
     /// Random multi-key transactions that acquire their locks in ascending
     /// object order (the coordinator's strict-2PL plan order) always all
-    /// complete — no schedule deadlocks, whatever the stripe count.
+    /// complete — no schedule deadlocks.
     #[test]
     fn ordered_acquisition_never_deadlocks(
         plans in proptest::collection::vec(
             proptest::collection::vec((0u32..16, any::<bool>()), 1..6),
             2..10,
         ),
-        stripes in 1usize..9,
     ) {
         // Dedup objects inside a plan (a transaction locks each object
         // once); keep the stronger mode when both were generated.
@@ -120,7 +171,7 @@ proptest! {
             })
             .collect();
 
-        let lm = LockManager::striped(stripes);
+        let mut lm = LockManager::new();
         let mut work: VecDeque<usize> = (0..txns.len()).collect();
         let mut steps = 0usize;
         while let Some(i) = work.pop_front() {
@@ -159,58 +210,4 @@ proptest! {
         );
         prop_assert_eq!(lm.locked_objects(), 0, "locks leaked after quiescence");
     }
-}
-
-/// Deterministic per-thread workout: two ops per round contend on one
-/// object (grant, queue, wake), cycling through the thread's own disjoint
-/// object range. Returns every observable the script saw.
-fn contention_script(lm: &LockManager, thread: u32) -> Vec<(bool, bool, Vec<OpId>)> {
-    let base = thread * 32;
-    let mut out = Vec::new();
-    for round in 0..24u32 {
-        let obj = ObjectId(base + round % 6);
-        let op_a = OpId(u64::from(thread) * 1_000 + u64::from(round) * 2);
-        let op_b = OpId(u64::from(thread) * 1_000 + u64::from(round) * 2 + 1);
-        let mode_b = if round % 2 == 0 {
-            LockMode::Read
-        } else {
-            LockMode::Write
-        };
-        let granted_a = lm.acquire(op_a, obj, LockMode::Write);
-        let granted_b = lm.acquire(op_b, obj, mode_b);
-        let woken = lm.release(op_a, obj);
-        lm.release(op_b, obj);
-        out.push((granted_a, granted_b, woken));
-    }
-    out
-}
-
-/// Real threads hammer a striped manager concurrently (each on a disjoint
-/// object range, so the outcome is schedule-independent); every observable
-/// must match a serial single-table replay of the same scripts.
-#[test]
-fn striped_manager_under_real_threads_matches_serial_replay() {
-    const THREADS: u32 = 4;
-    let striped = LockManager::striped(8);
-    let threaded: Vec<Vec<(bool, bool, Vec<OpId>)>> = arbitree_race::scope(|s| {
-        let handles: Vec<_> = (0..THREADS)
-            .map(|t| {
-                let striped = &striped;
-                s.spawn(move |_| contention_script(striped, t))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("script thread panicked"))
-            .collect()
-    })
-    .expect("stress scope");
-    assert_eq!(striped.locked_objects(), 0, "locks leaked");
-
-    let flat = LockManager::new();
-    for (t, observed) in threaded.iter().enumerate() {
-        let serial = contention_script(&flat, t as u32);
-        assert_eq!(observed, &serial, "thread {t} diverged from serial replay");
-    }
-    assert_eq!(flat.locked_objects(), 0);
 }

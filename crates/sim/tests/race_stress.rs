@@ -1,7 +1,6 @@
 //! Detector-enabled stress coverage (requires `--features race-audit`):
-//! the striped lock manager under real threads, the parallel experiment
-//! runner, and a small chaos batch must all record clean — zero race,
-//! misuse, or lock-order findings and no dropped events.
+//! the parallel experiment runner and a small chaos batch must record
+//! clean — zero race, misuse, or lock-order findings and no dropped events.
 //!
 //! Sessions are serialized process-wide by the recording gate, so these
 //! tests are safe under the default parallel test runner.
@@ -10,54 +9,12 @@ use arbitree_core::ArbitraryProtocol;
 use arbitree_quorum::SiteId;
 use arbitree_race::{analyze, Session};
 use arbitree_sim::{
-    build_profile, parallel_map, run_cells, ExperimentCell, FailureSchedule, LockManager, LockMode,
-    NemesisKind, NetworkConfig, ObjectId, OpId, SimConfig, SimDuration,
+    build_profile, parallel_map, run_cells, ExperimentCell, FailureSchedule, NemesisKind,
+    NetworkConfig, SimConfig, SimDuration,
 };
 
 fn proto() -> ArbitraryProtocol {
     ArbitraryProtocol::parse("1-3-5").expect("valid tree spec")
-}
-
-#[test]
-fn striped_lock_manager_records_clean_under_threads() {
-    const THREADS: u32 = 4;
-    const OPS: u32 = 120;
-    let lm = LockManager::striped(8);
-    let session = Session::start();
-    arbitree_race::scope(|s| {
-        let handles: Vec<_> = (0..THREADS)
-            .map(|t| {
-                let lm = &lm;
-                s.spawn(move |_| {
-                    let base = t * 64;
-                    for i in 0..OPS {
-                        let obj = ObjectId(base + i % 16);
-                        let op = OpId(u64::from(t) * 10_000 + u64::from(i));
-                        let mode = if i % 3 == 0 {
-                            LockMode::Read
-                        } else {
-                            LockMode::Write
-                        };
-                        lm.acquire(op, obj, mode);
-                        lm.holds(op, obj);
-                        lm.release(op, obj);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("stress thread panicked");
-        }
-    })
-    .expect("stress scope");
-    let report = analyze(&session.finish());
-    assert!(
-        report.clean(),
-        "striped stress produced findings:\n{}",
-        report.render_text()
-    );
-    assert!(report.threads >= THREADS as usize);
-    assert!(report.locks >= 1);
 }
 
 #[test]
@@ -71,6 +28,16 @@ fn parallel_map_records_clean() {
         "parallel_map produced findings:\n{}",
         report.render_text()
     );
+    // With more than one core the map forks worker threads that do all
+    // the work, so at least one of them must have recorded beside the
+    // caller.
+    if std::thread::available_parallelism().is_ok_and(|n| n.get() > 1) {
+        assert!(
+            report.threads > 1,
+            "only {} thread recorded",
+            report.threads
+        );
+    }
 }
 
 #[test]
