@@ -38,6 +38,11 @@ fn exhaustive_single_level_tree_has_no_violations() {
         outcome.stats.schedules > 1_000,
         "space should be non-trivial"
     );
+    assert_eq!(
+        (outcome.stats.states, outcome.stats.schedules),
+        (PIN_SINGLE_STATES, PIN_SINGLE_SCHEDULES),
+        "exploration counts moved"
+    );
 }
 
 #[test]
@@ -58,7 +63,42 @@ fn exhaustive_two_level_tree_has_no_violations() {
         outcome.stats.schedules > 1_000,
         "space should be non-trivial"
     );
+    assert_eq!(
+        (outcome.stats.states, outcome.stats.schedules),
+        (PIN_TWO_STATES, PIN_TWO_SCHEDULES),
+        "exploration counts moved"
+    );
 }
+
+/// The one scenario with batching and read-repair on, explored under a
+/// schedule cap (its full space exceeds any debug-build budget). The
+/// pinned counts guard the coordinator's batched read rounds and the
+/// fingerprint of their state.
+#[test]
+fn batched_repair_bounded_exploration_is_pinned() {
+    let s = Scenario::batched_repair();
+    let outcome = explore(&s, None, test_budget(s.smoke_depth).capped(100_000));
+    assert!(
+        outcome.violation.is_none(),
+        "unmutated protocol must be clean: {:?}",
+        outcome.violation
+    );
+    assert_eq!(
+        (outcome.stats.states, outcome.stats.schedules),
+        (PIN_BATCHED_STATES, PIN_BATCHED_SCHEDULES),
+        "exploration counts moved"
+    );
+}
+
+// Explored-state and schedule counts at the budgets above. The
+// fingerprint deduplicates states, so a change to what it hashes (or to
+// the coordinator's behaviour) moves these counts.
+const PIN_SINGLE_STATES: u64 = 25221;
+const PIN_SINGLE_SCHEDULES: u64 = 73450;
+const PIN_TWO_STATES: u64 = 10546;
+const PIN_TWO_SCHEDULES: u64 = 34477;
+const PIN_BATCHED_STATES: u64 = 53787;
+const PIN_BATCHED_SCHEDULES: u64 = 100000;
 
 #[test]
 fn dpor_explores_fewer_schedules_than_naive() {

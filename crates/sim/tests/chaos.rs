@@ -614,6 +614,112 @@ const PINNED_CHAOS_CAMPAIGN: u64 = 6150756938650259650;
 const PINNED_THROUGHPUT_SMOKE: u64 = 5468455340288058325;
 const PINNED_REPAIR_SMOKE: u64 = 12736085341905263238;
 
+/// Every coordinator branch under one hash: batching {off, on} ×
+/// read-repair {off, on}, each on a plain run and on a faulty one (lossy
+/// links, random crashes, and a live reconfiguration to `majority`). Each
+/// cell's transcript is the full `{:#?}` metrics and history dump that
+/// `replay.rs` compares, so any change to the order of RNG draws, sends,
+/// checker calls, history records or metric insertions moves the hash.
+/// The summed counters prove the grid reaches read-repair, read, prepare
+/// and commit retries, migration writes and batch coalescing.
+#[test]
+fn coordinator_branches_are_pinned() {
+    let duration = SimDuration::from_millis(300);
+    let mut transcript = String::new();
+    let mut totals = [0u64; 6];
+    for batching in [false, true] {
+        for read_repair in [false, true] {
+            for faulty in [false, true] {
+                let config = SimConfig {
+                    seed: 0xC0_0D1A,
+                    objects: 12,
+                    max_txn_ops: 4,
+                    read_fraction: 0.5,
+                    batching,
+                    read_repair,
+                    record_history: true,
+                    duration,
+                    retry: RetryPolicy::Exponential {
+                        cap: SimDuration::from_millis(24),
+                        jitter: 0.5,
+                    },
+                    network: NetworkConfig {
+                        drop_probability: if faulty { 0.02 } else { 0.0 },
+                        ..NetworkConfig::default()
+                    },
+                    ..SimConfig::default()
+                };
+                let mut sim = Simulation::new(config, proto());
+                if faulty {
+                    let n = proto().tree().replica_count();
+                    FailureSchedule::random(
+                        n,
+                        duration,
+                        SimDuration::from_millis(400),
+                        SimDuration::from_millis(20),
+                        0x5EED,
+                    )
+                    .apply(&mut sim);
+                    sim.schedule_reconfigure(
+                        SimTime::from_millis(100),
+                        arbitree_baselines::Majority::new(n),
+                    );
+                }
+                let report = sim.run();
+                let label =
+                    format!("batching={batching} read_repair={read_repair} faulty={faulty}");
+                assert!(
+                    report.consistent,
+                    "{label}: {} violations",
+                    report.violations
+                );
+                let m = &report.metrics;
+                for (total, v) in totals.iter_mut().zip([
+                    m.repairs_sent,
+                    m.retries_read,
+                    m.retries_prepare,
+                    m.retries_commit,
+                    m.migration_writes,
+                    m.batched_payloads,
+                ]) {
+                    *total += v;
+                }
+                transcript.push_str(&format!(
+                    "{label}\nmetrics={:#?}\nhistory={:#?}\nviolations={} consistent={} \
+                     incomplete={} reads_checked={} writes_recorded={}\n",
+                    report.metrics,
+                    report.history,
+                    report.violations,
+                    report.consistent,
+                    report.ops_incomplete,
+                    report.reads_checked,
+                    report.writes_recorded,
+                ));
+            }
+        }
+    }
+    let names = [
+        "repairs_sent",
+        "retries_read",
+        "retries_prepare",
+        "retries_commit",
+        "migration_writes",
+        "batched_payloads",
+    ];
+    for (name, total) in names.iter().zip(totals) {
+        assert!(total > 0, "the grid never reached {name}");
+    }
+    assert_eq!(
+        fnv1a64(&transcript),
+        PINNED_COORDINATOR_BRANCHES,
+        "coordinator branch grid diverged (totals {totals:?})"
+    );
+}
+
+/// Captured before the coordinator's per-object entries replaced its
+/// per-phase containers; that refactor must not move it.
+const PINNED_COORDINATOR_BRANCHES: u64 = 6470194262761391419;
+
 /// Amnesia cold start layered over uncorrelated churn (the chaos-campaign
 /// composition): still consistent, still no service from Syncing sites.
 #[test]
