@@ -227,22 +227,25 @@ fn migration_target(
 
 fn simulate(args: &[String]) -> CliResult {
     let spec: String = arg(args, 0, "spec")?;
-    let seed: u64 = match args.get(1) {
-        Some(s) if !s.starts_with("--") => arg(args, 1, "seed")?,
-        _ => 0,
-    };
-    let seeds: u64 = match args.iter().position(|a| a == "--seeds") {
-        Some(i) => arg(args, i + 1, "seed count")?,
-        None => 1,
-    };
+    let (mut seed, mut seeds, mut migrate_to) = (0u64, 1u64, None::<String>);
+    let mut i = 1;
+    if args.get(1).is_some_and(|s| !s.starts_with("--")) {
+        seed = arg(args, 1, "seed")?;
+        i = 2;
+    }
+    // Every remaining argument is a flag with one value; anything else is
+    // an error rather than silently ignored.
+    while i < args.len() {
+        match args[i].as_str() {
+            "--seeds" => seeds = arg(args, i + 1, "seed count")?,
+            "--migrate-to" => migrate_to = Some(arg(args, i + 1, "migration target")?),
+            other => return Err(format!("unexpected argument to simulate: {other}").into()),
+        }
+        i += 2;
+    }
     if seeds == 0 {
         return Err("--seeds must be at least 1".into());
     }
-    let migrate_to: Option<String> = args
-        .iter()
-        .position(|a| a == "--migrate-to")
-        .map(|i| arg(args, i + 1, "migration target"))
-        .transpose()?;
 
     let proto = ArbitraryProtocol::parse(&spec)?;
     let n = proto.tree().replica_count();

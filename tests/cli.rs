@@ -81,6 +81,24 @@ fn simulate_rejects_trees_beyond_the_site_cap() {
 }
 
 #[test]
+fn simulate_rejects_unknown_arguments() {
+    for args in [
+        &["simulate", "1-3-5", "--clients", "0"][..],
+        &["simulate", "1-3-5", "--drop", "1.5"],
+        &["simulate", "1-3-5", "7", "extra"],
+        &["simulate", "1-3-5", "7", "--seeds"],
+    ] {
+        let (ok, stdout, stderr) = run(args);
+        assert!(!ok, "{args:?} should fail");
+        assert!(stdout.is_empty(), "{args:?}: {stdout}");
+        assert!(
+            stderr.starts_with("error: ") && !stderr.contains("panicked"),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn faults_reports_blocking_numbers() {
     let (ok, stdout, _) = run(&["faults", "1-3-5"]);
     assert!(ok);
