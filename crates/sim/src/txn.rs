@@ -2,6 +2,12 @@
 //! phase machine, the client bookkeeping, live-reconfiguration progress,
 //! and the public request/report types.
 //!
+//! A transaction is one [`TxnState`]: a `Vec` of [`TxnObject`] entries,
+//! one per object it touches, plus the acknowledgements and read
+//! responses of the phase in progress. Every phase walks the entries in
+//! place — locks and read rounds in ascending object order (the entries'
+//! order), prepare, commit and completion in request order.
+//!
 //! These types carry no behaviour of their own — the
 //! [`crate::coordinator::Coordinator`] drives them and the
 //! [`crate::engine::Engine`] transports their messages.
@@ -11,17 +17,18 @@ use crate::locks::LockMode;
 use crate::message::{ClientId, ObjectId, OpId};
 use crate::metrics::SimMetrics;
 use crate::time::SimTime;
-use arbitree_core::{DetMap, DetSet, Timestamp};
+use arbitree_core::{DetSet, Timestamp};
 use arbitree_quorum::{AliveSet, QuorumSet, ReplicaControl, SiteId};
 use bytes::Bytes;
 use std::fmt;
+use std::ops::Range;
 
 /// What a transaction is doing right now.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Phase {
     /// Acquiring its locks, in object order.
     LockWait,
-    /// Gathering a read quorum's responses for the current read round.
+    /// Gathering read quorums' responses for the current read round.
     ReadGather,
     /// Gathering 2PC votes from every written object's write quorum.
     PrepareGather,
@@ -30,6 +37,11 @@ pub(crate) enum Phase {
 }
 
 /// Coordinator state of one transaction.
+///
+/// The read phase runs in rounds over consecutive entries starting at
+/// `read_round`: one entry per round in sequential mode, every remaining
+/// entry at once under [`crate::SimConfig::batching`]. Written objects get
+/// a read round too, for their current version.
 #[derive(Debug)]
 pub(crate) struct TxnState {
     pub(crate) client: ClientId,
@@ -39,81 +51,116 @@ pub(crate) struct TxnState {
     pub(crate) phase_counter: u64,
     /// Quorum re-pick attempts consumed.
     pub(crate) attempts: u32,
-    /// Objects read by the transaction.
-    pub(crate) reads: Vec<ObjectId>,
-    /// Objects written by the transaction.
-    pub(crate) writes: Vec<ObjectId>,
-    /// Lock acquisition plan, ascending by object.
-    pub(crate) lock_plan: Vec<(ObjectId, LockMode)>,
-    /// How many of the planned locks are held.
+    /// One entry per object, ascending by object: the lock plan and the
+    /// read-round order.
+    pub(crate) objects: Vec<TxnObject>,
+    /// How many of the entries' locks are held (a migration takes none).
     pub(crate) locks_held: usize,
-    /// Objects needing a read round (`reads ∪ writes`, in order).
-    pub(crate) read_targets: Vec<ObjectId>,
-    /// Index of the read round in progress.
+    /// Index of the first entry of the read round in progress.
     pub(crate) read_round: usize,
-    /// Members of the current read round still to respond (one object:
-    /// the current read target).
-    pub(crate) pending_sites: AckSet,
-    /// The current read round's quorum.
-    pub(crate) round_quorum: QuorumSet,
-    /// Per-responder timestamps of the current round (read-repair).
-    pub(crate) round_responses: Vec<(SiteId, Timestamp)>,
-    /// Best (greatest-timestamp) result per object.
-    pub(crate) gathered: DetMap<ObjectId, (Timestamp, Bytes)>,
-    /// Read quorums used, per object (flushed to metrics on success).
-    pub(crate) round_quorums: DetMap<ObjectId, QuorumSet>,
-    /// Chosen write timestamps per object.
-    pub(crate) write_ts: DetMap<ObjectId, Timestamp>,
-    /// Values to write per object.
-    pub(crate) write_values: DetMap<ObjectId, Bytes>,
-    /// Write quorums per object (current prepare attempt).
-    pub(crate) write_quorums: DetMap<ObjectId, QuorumSet>,
-    /// Outstanding (object, site) prepare/commit acknowledgements.
-    pub(crate) pending_pairs: AckSet,
-    /// Outstanding (object, site) read responses of a *batched* gather
-    /// (all read targets queried in one parallel round; empty in
-    /// sequential mode).
-    pub(crate) read_pending_pairs: AckSet,
-    /// Per-responder timestamps of a batched gather (read-repair; empty in
-    /// sequential mode).
-    pub(crate) gather_responses: Vec<(ObjectId, SiteId, Timestamp)>,
+    /// Outstanding `(object, site)` acknowledgements of the current phase:
+    /// read responses, prepare votes or commit acks.
+    pub(crate) pending: AckSet,
+    /// `(object, site, timestamp)` of every response of the current read
+    /// round, in arrival order (read-repair).
+    pub(crate) responses: Vec<(ObjectId, SiteId, Timestamp)>,
     /// Whether this is a reconfiguration-migration transaction.
     pub(crate) is_migration: bool,
 }
 
+/// One object of a transaction.
+#[derive(Debug)]
+pub(crate) struct TxnObject {
+    pub(crate) obj: ObjectId,
+    /// `Write` for a written object, `Read` for one only read.
+    pub(crate) mode: LockMode,
+    /// Position in the request: the reads first, then the writes, each in
+    /// the order requested.
+    pub(crate) pos: usize,
+    /// Greatest-timestamp `(ts, value)` read so far.
+    pub(crate) best: Option<(Timestamp, Bytes)>,
+    /// Read quorum of the object's latest read round.
+    pub(crate) read_quorum: QuorumSet,
+    /// Value to write (empty for a read).
+    pub(crate) value: Bytes,
+    /// Write timestamp, stamped once the read phase is over.
+    pub(crate) write_ts: Timestamp,
+    /// Write quorum of the current prepare attempt.
+    pub(crate) write_quorum: QuorumSet,
+}
+
+impl TxnObject {
+    /// A fresh entry for `obj` at request position `pos`; `value` is the
+    /// value to write, `None` for a read.
+    pub(crate) fn new(obj: ObjectId, pos: usize, value: Option<Bytes>) -> Self {
+        TxnObject {
+            obj,
+            mode: if value.is_some() {
+                LockMode::Write
+            } else {
+                LockMode::Read
+            },
+            pos,
+            best: None,
+            read_quorum: QuorumSet::new(),
+            value: value.unwrap_or_default(),
+            write_ts: Timestamp::ZERO,
+            write_quorum: QuorumSet::new(),
+        }
+    }
+
+    pub(crate) fn is_write(&self) -> bool {
+        self.mode == LockMode::Write
+    }
+}
+
 impl TxnState {
-    /// A fresh transaction record in the lock-wait phase.
-    pub(crate) fn new(client: ClientId, started: SimTime, is_migration: bool) -> Self {
+    /// A fresh transaction record in the lock-wait phase; `objects` must
+    /// be ascending by object.
+    pub(crate) fn new(
+        client: ClientId,
+        started: SimTime,
+        is_migration: bool,
+        objects: Vec<TxnObject>,
+    ) -> Self {
+        debug_assert!(objects.windows(2).all(|w| w[0].obj < w[1].obj));
         TxnState {
             client,
             phase: Phase::LockWait,
             started,
             phase_counter: 0,
             attempts: 0,
-            reads: Vec::new(),
-            writes: Vec::new(),
-            lock_plan: Vec::new(),
+            objects,
             locks_held: 0,
-            read_targets: Vec::new(),
             read_round: 0,
-            pending_sites: AckSet::default(),
-            round_quorum: QuorumSet::new(),
-            round_responses: Vec::new(),
-            gathered: DetMap::new(),
-            round_quorums: DetMap::new(),
-            write_ts: DetMap::new(),
-            write_values: DetMap::new(),
-            write_quorums: DetMap::new(),
-            pending_pairs: AckSet::default(),
-            read_pending_pairs: AckSet::default(),
-            gather_responses: Vec::new(),
+            pending: AckSet::default(),
+            responses: Vec::new(),
             is_migration,
         }
     }
 
-    pub(crate) fn current_read_target(&self) -> Option<ObjectId> {
-        self.read_targets.get(self.read_round).copied()
+    /// The entries of the read round starting at `read_round`: that one
+    /// entry, or — with `batching` — every remaining one.
+    pub(crate) fn read_round_range(&self, batching: bool) -> Range<usize> {
+        let end = if batching {
+            self.objects.len()
+        } else {
+            self.read_round + 1
+        };
+        self.read_round..end.min(self.objects.len())
     }
+
+    /// The entry of `obj`, if the transaction touches it.
+    pub(crate) fn object_mut(&mut self, obj: ObjectId) -> Option<&mut TxnObject> {
+        let i = self.objects.binary_search_by_key(&obj, |e| e.obj).ok()?;
+        self.objects.get_mut(i)
+    }
+}
+
+/// The entries in request order: the reads, then the writes, each in the
+/// order requested.
+pub(crate) fn in_request_order(objects: &[TxnObject]) -> impl Iterator<Item = &TxnObject> {
+    (0..objects.len()).filter_map(move |pos| objects.iter().find(|e| e.pos == pos))
 }
 
 /// Outstanding acknowledgements of one phase: per object, the bitmask of
@@ -187,26 +234,11 @@ impl AckSet {
     pub(crate) fn sites(&self) -> impl Iterator<Item = SiteId> + '_ {
         self.iter().map(|(_, s)| s)
     }
-
-    /// A `Debug` view of the sites alone, printed as the
-    /// `DetSet<SiteId>` of a single-object round printed.
-    pub(crate) fn sites_debug(&self) -> impl fmt::Debug + '_ {
-        SitesDebug(self)
-    }
 }
 
 impl fmt::Debug for AckSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_set().entries(self.iter()).finish()
-    }
-}
-
-/// See [`AckSet::sites_debug`].
-struct SitesDebug<'a>(&'a AckSet);
-
-impl fmt::Debug for SitesDebug<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_set().entries(self.0.sites()).finish()
     }
 }
 
@@ -355,27 +387,6 @@ mod tests {
             acks_set.clear();
             prop_assert!(acks_set.is_empty());
             prop_assert_eq!(format!("{acks_set:?}"), "{}");
-        }
-
-        /// A single-object round prints its sites exactly as the
-        /// `DetSet<SiteId>` it replaced.
-        #[test]
-        fn round_sites_print_like_the_det_set_they_replaced(
-            members in proptest::collection::vec(0u32..128, 0..16),
-            acks in proptest::collection::vec(0u32..128, 0..24),
-        ) {
-            let q = QuorumSet::from_indices(members);
-            let mut round = AckSet::default();
-            round.add_quorum(ObjectId(5), &q);
-            let mut sites: DetSet<SiteId> = q.iter().collect();
-            for &s in &acks {
-                let site = SiteId::new(s);
-                prop_assert_eq!(round.remove(ObjectId(5), site), sites.remove(&site));
-                prop_assert_eq!(format!("{:?}", round.sites_debug()), format!("{sites:?}"));
-                let got: Vec<SiteId> = round.sites().collect();
-                let want: Vec<SiteId> = sites.iter().copied().collect();
-                prop_assert_eq!(got, want);
-            }
         }
     }
 }
