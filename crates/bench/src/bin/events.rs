@@ -7,12 +7,18 @@
 //!   pop-earliest, schedule a replacement) drives the production calendar
 //!   queue and the pre-swap `BTreeQueue` baseline through the identical
 //!   event sequence at pending-set sizes {7, 31, 127, 1023} × write-mix
-//!   {10%, 50%, 90%}. The pop-order checksums must agree exactly (the
-//!   queues are observationally identical; `crates/sim/tests/replay.rs`
-//!   proves it, this re-checks it for free), and the headline **speedup
-//!   gate** — calendar ≥ 3× the baseline (1× in smoke, where shared CI
-//!   runners make timing unreliable) — anchors at the largest pending set,
-//!   where the old `O(log n)` node churn hurt most.
+//!   {10%, 50%, 90%}, plus one *bimodal* cell at 1023 pending shaped like
+//!   `hot-churn`: half near traffic (a fixed 300 µs hop or a delay up to
+//!   4 ms) and half a far tail of crashes spread over 5 s. The pop-order
+//!   checksums must agree exactly (the queues are observationally
+//!   identical; `crates/sim/tests/replay.rs` proves it, this re-checks it
+//!   for free), and the headline **speedup gate** — calendar ≥ 3× the
+//!   baseline (1× in smoke, where shared CI runners make timing
+//!   unreliable) on every cell at the largest pending set, bimodal
+//!   included — anchors where the old `O(log n)` node churn hurt most.
+//!   A cell's speedup is the median of per-pair ratios over alternating
+//!   calendar/baseline runs, so a burst of host load lands on both sides
+//!   of a pair instead of skewing one engine's best time.
 //! * **Simulation tier** — whole-simulator events/sec over binary trees of
 //!   7, 31 and 127 sites × read fractions {0.1, 0.5, 0.9}: every layer
 //!   (queue, slab, outbox pooling, copy-free payload fan-out) in one
@@ -31,7 +37,7 @@
 
 use arbitree_analysis::report::{fmt_f, render_table};
 use arbitree_bench::arg_value;
-use arbitree_bench::events_driver::hold_model;
+use arbitree_bench::events_driver::{bimodal_hold_model, hold_model};
 use arbitree_bench::report::{json_str, BenchReport, BenchRow};
 use arbitree_core::ArbitraryProtocol;
 use arbitree_sim::{
@@ -44,6 +50,8 @@ use std::time::Instant;
 const PENDING: [usize; 4] = [7, 31, 127, 1023];
 /// Write-path share of scheduled events, in permille.
 const WRITE_MIX: [u64; 3] = [100, 500, 900];
+/// Write mix of the bimodal cell (which runs at the gate's pending size).
+const BIMODAL_WRITE_MIX: u64 = 500;
 /// Hold-model delay horizon: 4.1 ms spans dozens of calendar days
 /// (64 us each), so the sweep crosses bucket hits, overflow inserts, and
 /// window rotations.
@@ -53,22 +61,83 @@ const SIM_SPECS: [(&str, usize); 3] = [("1-2-4", 7), ("1-2-4-8-16", 31), ("1-2-4
 /// Read fractions swept in the simulation tier.
 const READ_FRACTIONS: [f64; 3] = [0.1, 0.5, 0.9];
 
-/// One queue-tier cell: both engines' rates over the identical sequence.
+/// A hold-model driver: `(seed, pending, steps, horizon, write_permille)`
+/// to `(events, checksum)`.
+type Driver = fn(u64, usize, u64, u64, u64) -> (u64, u64);
+
+/// One queue-tier cell: both engines' rates over the identical sequence,
+/// as medians over alternating pairs, and the per-pair speedups.
 struct QueueCell {
+    model: &'static str,
     pending: usize,
     write_permille: u64,
     calendar_eps: f64,
     btree_eps: f64,
+    /// Per-pair `calendar / btree` ratios, sorted.
+    ratios: Vec<f64>,
     checksums_agree: bool,
 }
 
 impl QueueCell {
+    /// The median per-pair ratio.
     fn speedup(&self) -> f64 {
-        if self.btree_eps > 0.0 {
-            self.calendar_eps / self.btree_eps
-        } else {
-            0.0
-        }
+        median(&self.ratios)
+    }
+}
+
+/// Median of an ascending slice (0 when empty).
+fn median(sorted: &[f64]) -> f64 {
+    match sorted.len() {
+        0 => 0.0,
+        n if n % 2 == 1 => sorted[n / 2],
+        n => (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0,
+    }
+}
+
+/// Times `pairs` alternating calendar/baseline runs of one cell, after an
+/// untimed warm-up of each (first-touch and allocator costs). Every run
+/// must reproduce its engine's checksum.
+fn time_cell(
+    model: &'static str,
+    calendar: Driver,
+    btree: Driver,
+    pending: usize,
+    write_permille: u64,
+    steps: u64,
+    pairs: usize,
+) -> QueueCell {
+    let seed = 0xE7E2_0000 ^ ((pending as u64) << 16) ^ write_permille;
+    let run = |driver: Driver| {
+        // arbitree-lint: allow(D002) — wall-clock timing of the bench itself
+        let t0 = Instant::now();
+        let (n, sum) = driver(seed, pending, steps, HORIZON_MICROS, write_permille);
+        (n as f64 / t0.elapsed().as_secs_f64().max(1e-9), sum)
+    };
+    let (_, sum_cal) = run(calendar);
+    let (_, sum_bt) = run(btree);
+    let (mut cal, mut bt, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..pairs {
+        let (c, c_sum) = run(calendar);
+        let (b, b_sum) = run(btree);
+        assert!(
+            c_sum == sum_cal && b_sum == sum_bt,
+            "nondeterministic hold model"
+        );
+        cal.push(c);
+        bt.push(b);
+        ratios.push(if b > 0.0 { c / b } else { 0.0 });
+    }
+    for v in [&mut cal, &mut bt, &mut ratios] {
+        v.sort_by(f64::total_cmp);
+    }
+    QueueCell {
+        model,
+        pending,
+        write_permille,
+        calendar_eps: median(&cal),
+        btree_eps: median(&bt),
+        ratios,
+        checksums_agree: sum_cal == sum_bt,
     }
 }
 
@@ -124,59 +193,46 @@ fn main() {
     );
 
     // --- Queue tier -----------------------------------------------------
-    // Best-of-N timing per engine: shared machines jitter by 10-20%, so a
-    // single sample can misstate either side of the ratio by that much.
-    // The fastest of three runs over identical deterministic work is the
-    // engine's actual cost; every repetition must reproduce the same
-    // checksum.
-    let reps = if smoke { 2 } else { 3 };
-    let timed = |run: &dyn Fn() -> (u64, u64)| {
-        let _ = run(); // untimed warm-up: first-touch and allocator costs
-        let mut best_eps = 0.0f64;
-        let mut checksum = None;
-        for _ in 0..reps {
-            // arbitree-lint: allow(D002) — wall-clock timing of the bench itself
-            let t0 = Instant::now();
-            let (n, sum) = run();
-            let eps = n as f64 / t0.elapsed().as_secs_f64().max(1e-9);
-            best_eps = best_eps.max(eps);
-            assert!(
-                checksum.is_none_or(|c: u64| c == sum),
-                "nondeterministic hold model"
-            );
-            checksum = Some(sum);
-        }
-        (best_eps, checksum.expect("at least one rep"))
-    };
+    let pairs = if smoke { 3 } else { 5 };
     let mut queue_cells: Vec<QueueCell> = Vec::new();
     for &pending in &PENDING {
         for &write_permille in &WRITE_MIX {
-            let seed = 0xE7E2_0000 ^ ((pending as u64) << 16) ^ write_permille;
-            let (calendar_eps, sum_cal) = timed(&|| {
-                hold_model::<EventQueue>(seed, pending, steps, HORIZON_MICROS, write_permille)
-            });
-            let (btree_eps, sum_bt) = timed(&|| {
-                hold_model::<BTreeQueue>(seed, pending, steps, HORIZON_MICROS, write_permille)
-            });
-            queue_cells.push(QueueCell {
+            queue_cells.push(time_cell(
+                "uniform",
+                hold_model::<EventQueue>,
+                hold_model::<BTreeQueue>,
                 pending,
                 write_permille,
-                calendar_eps,
-                btree_eps,
-                checksums_agree: sum_cal == sum_bt,
-            });
+                steps,
+                pairs,
+            ));
         }
     }
+    queue_cells.push(time_cell(
+        "bimodal",
+        bimodal_hold_model::<EventQueue>,
+        bimodal_hold_model::<BTreeQueue>,
+        PENDING[PENDING.len() - 1],
+        BIMODAL_WRITE_MIX,
+        steps,
+        pairs,
+    ));
 
     let rows: Vec<Vec<String>> = queue_cells
         .iter()
         .map(|c| {
             vec![
+                c.model.to_string(),
                 c.pending.to_string(),
                 format!("{}%", c.write_permille / 10),
                 fmt_f(c.calendar_eps / 1e6),
                 fmt_f(c.btree_eps / 1e6),
                 fmt_f(c.speedup()),
+                format!(
+                    "{}-{}",
+                    fmt_f(c.ratios.first().copied().unwrap_or(0.0)),
+                    fmt_f(c.ratios.last().copied().unwrap_or(0.0))
+                ),
                 if c.checksums_agree { "ok" } else { "DIVERGED" }.to_string(),
             ]
         })
@@ -185,17 +241,22 @@ fn main() {
         "{}",
         render_table(
             &[
+                "model",
                 "pending",
                 "writes",
                 "cal Mev/s",
                 "btree Mev/s",
                 "speedup",
+                "pair range",
                 "order"
             ],
             &rows
         )
     );
-    println!("(hold model; Mev/s = million pop+schedule events per wall second)");
+    println!(
+        "(hold model; Mev/s = million pop+schedule events per wall second, medians of \
+         {pairs} alternating pairs; speedup = median per-pair ratio)"
+    );
 
     // --- Simulation tier ------------------------------------------------
     let mut sim_cells: Vec<SimCell> = Vec::new();
@@ -261,7 +322,7 @@ fn main() {
         .map(QueueCell::speedup)
         .fold(f64::INFINITY, f64::min);
     println!(
-        "speedup @ {gate_pending} pending (worst mix): {}x (bar {}x, target 10x)",
+        "speedup @ {gate_pending} pending (worst cell): {}x (bar {}x, target 10x)",
         fmt_f(gate_speedup),
         fmt_f(bar)
     );
@@ -309,18 +370,34 @@ fn render_json(
         .config("smoke", smoke)
         .config("hold_steps", steps)
         .config("hold_horizon_micros", HORIZON_MICROS)
+        .config(
+            "hold_pairs",
+            queue_cells.first().map_or(0, |c| c.ratios.len()),
+        )
         .config("sim_duration_ms", sim_ms);
     for c in queue_cells {
         report = report.row(
             BenchRow::rate(
-                format!("queue p={} w={}", c.pending, c.write_permille),
+                match c.model {
+                    "uniform" => format!("queue p={} w={}", c.pending, c.write_permille),
+                    model => format!("queue {model} p={} w={}", c.pending, c.write_permille),
+                },
                 c.calendar_eps,
             )
             .field("tier", json_str("queue"))
+            .field("model", json_str(c.model))
             .field("pending", c.pending)
             .field("write_permille", c.write_permille)
             .field("btree_ops_per_sec", format!("{:.1}", c.btree_eps))
             .field("speedup", format!("{:.2}", c.speedup()))
+            .field(
+                "speedup_min",
+                format!("{:.2}", c.ratios.first().copied().unwrap_or(0.0)),
+            )
+            .field(
+                "speedup_max",
+                format!("{:.2}", c.ratios.last().copied().unwrap_or(0.0)),
+            )
             .field("order_identical", c.checksums_agree),
         );
     }

@@ -14,18 +14,27 @@
 //!
 //! The hot path (`schedule` → `next_key` → `take`-the-min, millions of
 //! times per run) is served by a *calendar queue*: simulated time is cut
-//! into fixed-width days (`2^DAY_SHIFT` µs each), one bucket per day across
-//! a rotating window of `buckets.len()` days. An event lands in the bucket
-//! of its day when its day falls inside the current window, and in an
-//! unsorted overflow tier when it is further out; when the window drains,
-//! it rotates forward to the just-consumed minimum and migrates the
-//! newly-covered entries into buckets. Buckets hold `(EventKey, slot)`
-//! pairs, unsorted — they are tiny (a day of traffic), so a linear min-scan
-//! beats maintaining order — and the overflow is unsorted too, because the
-//! only thing the hot path ever asks of it is its minimum (memoized) and
-//! the only bulk operation is the rotation partition. The `Event` values
-//! themselves live in a free-list slab, so scheduling is an O(1) push with
-//! no per-event allocation once the slab is warm.
+//! into fixed-width days (`2^day_shift` µs each), one bucket per day across
+//! a window of `buckets.len()` days that slides forward each time the
+//! global minimum is taken. An event lands in the bucket of its day when
+//! its day falls inside the window, and in a sorted overflow tier when it
+//! is further out; as the window slides, the overflow entries it reaches
+//! move into buckets from the tier's front. Each bucket keeps its minimum
+//! inline and the rest in an ordered spill deque, so taking a day's
+//! minimum and promoting the next one are both O(1), whatever the day
+//! holds. The `Event` values themselves live in a free-list slab, so
+//! scheduling is an O(1) push with no per-event allocation once the slab
+//! is warm.
+//!
+//! **Sizing.** The day width follows the spacing of the *earliest* pending
+//! events (Brown's estimate, outliers discarded), not the span of the whole
+//! set, and the bucket count follows the pending count. Near traffic then
+//! spreads about one event per day while a far tail — a fault schedule
+//! seconds out — waits in the overflow tier. The queue re-sizes when an
+//! insert finds a bucket crowded (narrower days) or when most schedules
+//! land past the window (wider days), each under hysteresis: at most once
+//! per pending set's worth of schedules, so a re-size amortizes to O(1)
+//! per event.
 //!
 //! None of this is visible through the API: keys are handed out and honored
 //! in exact `(at, seq)` order, `keys`/`iter` enumerate in that global
@@ -41,6 +50,7 @@ use arbitree_quorum::SiteId;
 use std::cell::Cell;
 #[cfg(any(test, feature = "reference-queue"))]
 use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 /// Events driving the simulation.
 #[derive(Debug, Clone, PartialEq)]
@@ -114,22 +124,41 @@ pub struct EventKey {
 /// Initial width of one calendar day in log2 microseconds: 64 µs per
 /// bucket, a shade under the simulator's default one-way network latency,
 /// so a delivery wave spreads over a handful of buckets instead of piling
-/// into one. Rotation re-derives the width from the live event density
-/// (see [`EventQueue::rotate_to`]).
+/// into one. Each re-size re-derives the width from the spacing of the
+/// earliest pending events (see [`EventQueue::near_shift`]).
 const INITIAL_DAY_SHIFT: u32 = 6;
-/// Initial number of buckets (window span = `64 × 64 µs ≈ 4 ms`, which
-/// covers a default phase timeout).
-const INITIAL_BUCKETS: usize = 64;
-/// Bucket-count ceiling for the rotation-time sizing policy. An empty
-/// bucket is one `Vec` header, so even the ceiling costs well under a
-/// megabyte — and only queues that actually rotate (≥ [`ROTATE_MIN_OVERFLOW`]
-/// pending) ever grow past [`INITIAL_BUCKETS`].
+/// Bucket-count floor, and the initial count (window span = `64 × 64 µs
+/// ≈ 4 ms`, which covers a default phase timeout).
+const MIN_BUCKETS: usize = 64;
+/// Bucket-count ceiling. A re-size sizes the array from the pending count
+/// ([`BUCKETS_PER_EVENT`]), so this only binds past 4096 pending; a bucket
+/// is one 24-byte slot, so even the ceiling costs under half a megabyte.
 const MAX_BUCKETS: usize = 16_384;
-/// Minimum overflow population worth rotating the window for. Below this,
-/// the flat overflow tier with its memoized minimum already serves a
-/// handful of events well, and rotation would just churn allocations —
-/// the regime the model checker's small, sparse scenarios live in.
-const ROTATE_MIN_OVERFLOW: usize = 16;
+/// Buckets per pending event at a re-size. The day width puts the near
+/// traffic about one event per day, so four days per event make the
+/// window reach well past it, and a schedule almost never lands beyond
+/// the window's end unless it belongs to the far tail.
+const BUCKETS_PER_EVENT: usize = 4;
+/// Spill length at which a bucket counts as crowded: an insert that
+/// brings a spill to this many entries spanning more than one timestamp
+/// asks for a re-size (identical timestamps share a day under any width,
+/// so a pure same-instant burst never does).
+const CROWDED: usize = 4;
+/// How many of the earliest pending events the width estimate samples
+/// (Brown's calendar queue samples 25).
+const WIDTH_SAMPLE: usize = 32;
+/// [`Bucket::spill`] of a bucket with no spill.
+const NO_SPILL: u32 = u32::MAX;
+
+/// Which way a due re-size may move the day width: each trigger carries
+/// evidence for one direction only.
+#[derive(Debug, Clone, Copy)]
+enum Resize {
+    /// A bucket crowded: the days are too wide.
+    Narrow,
+    /// Most schedules landed past the window: the days are too narrow.
+    Widen,
+}
 
 /// A pending entry as the calendar stores it: the key plus the slab slot
 /// holding the event value. 24 bytes — what bucket scans and migrations
@@ -137,100 +166,142 @@ const ROTATE_MIN_OVERFLOW: usize = 16;
 /// magnitude larger).
 type Entry = (EventKey, u32);
 
+/// One day of the calendar: its smallest entry, stored inline, and the
+/// pool index of the deque holding the rest. 24 bytes, like an [`Entry`]
+/// — the spill index sits in what would be the entry's padding. The
+/// fields mean something only while the bucket's `occupied` bit is set;
+/// an insert into an empty bucket overwrites all three.
+#[derive(Debug, Clone, Copy)]
+struct Bucket {
+    /// The day's smallest key.
+    key: EventKey,
+    /// Slab slot of the smallest key's event.
+    slot: u32,
+    /// Index into [`EventQueue::spills`] of a non-empty deque, or
+    /// [`NO_SPILL`].
+    spill: u32,
+}
+
+impl Bucket {
+    /// Filler for unoccupied buckets.
+    const EMPTY: Bucket = Bucket {
+        key: EventKey {
+            at: SimTime::from_micros(0),
+            seq: 0,
+        },
+        slot: 0,
+        spill: NO_SPILL,
+    };
+
+    fn entry(&self) -> Entry {
+        (self.key, self.slot)
+    }
+}
+
 /// Deterministic future-event queue.
 ///
-/// Calendar-bucketed by firing day with a sorted overflow tier; event
-/// values live in a free-list slab (see the module docs). The observable
-/// contract is exactly the reference [`BTreeQueue`]'s: earliest-first order
-/// for the seeded path and arbitrary-key removal for the model checker.
+/// Calendar-bucketed by firing day over a sliding window, with a sorted
+/// overflow tier past it; event values live in a free-list slab (see the
+/// module docs). The observable contract is exactly the reference
+/// [`BTreeQueue`]'s: earliest-first order for the seeded path and
+/// arbitrary-key removal for the model checker.
 #[derive(Debug)]
 pub struct EventQueue {
     /// Event storage; `None` slots are free and their indices sit in
-    /// `free`. Entries in `buckets`/`overflow` index into this.
+    /// `free`. Entries in the buckets and `overflow` index into this.
     slab: Vec<Option<Event>>,
     /// Free-list of reusable slab slots.
     free: Vec<u32>,
-    /// The *prime* slot of each day's bucket: its smallest entry, stored
-    /// inline. At the sizing policy's target occupancy most buckets hold
-    /// zero or one entry, so the hot path — insert into an empty bucket,
-    /// take a day's minimum — reads and writes exactly this one flat slot
-    /// and never chases a heap pointer. `prime[i]` is valid iff bit `i` of
-    /// `occupied` is set.
-    prime: Vec<Entry>,
-    /// Collision storage: every bucket entry *other* than the prime,
-    /// unsorted. `spill[i]` is non-empty iff bit `i` of `spill_used` is
-    /// set, and only then does the bucket's min-maintenance touch it.
-    spill: Vec<Vec<Entry>>,
-    /// Occupancy bitmap: bit `i` set iff bucket `i` is non-empty (⇔ its
-    /// prime is valid). Lets the min-scan find the first occupied day with
-    /// a find-first-set sweep instead of touching one slot per empty day.
+    /// One bucket per day of the window. At the sizing policy's target
+    /// occupancy most buckets hold zero or one entry, so the hot path —
+    /// insert into an empty bucket, take a day's minimum — reads and
+    /// writes exactly this one flat slot and never chases a pointer.
+    buckets: Vec<Bucket>,
+    /// Collision storage: every bucket entry *other* than the bucket's
+    /// minimum, one deque per bucket with a collision, in ascending key
+    /// order.
+    /// Taking a day's minimum promotes the deque's head in O(1), and an
+    /// insert is usually a push at the back (events arrive in roughly
+    /// increasing time, and equal times in increasing `seq`). Deques are
+    /// pooled: a bucket borrows one on its first collision and returns it
+    /// when it empties, so the pool — and the memory collisions touch —
+    /// tracks how many buckets collide, not how many buckets exist.
+    spills: Vec<VecDeque<Entry>>,
+    /// Pool indices of the empty deques in `spills`.
+    free_spills: Vec<u32>,
+    /// Occupancy bitmap: bit `i` set iff bucket `i` is non-empty. Lets the
+    /// min-scan find the first occupied day with a find-first-set sweep
+    /// instead of touching one slot per empty day.
     occupied: Vec<u64>,
-    /// Bit `i` set iff `spill[i]` is non-empty, so the common take-the-min
-    /// path learns "no spill to promote" from a word already in cache
-    /// instead of loading the spill vector's header.
-    spill_used: Vec<u64>,
-    /// Total entries across all buckets (`len - overflow.len()`); an O(1)
-    /// emptiness check so the rotation trigger costs nothing per take.
-    bucket_len: usize,
-    /// Events scheduled at or beyond the window's end (or, degenerately,
-    /// behind its start). Unsorted: inserts are an O(1) push, the minimum
-    /// is memoized in `overflow_min`, and everything else that touches the
-    /// tier — rotation's partition, arbitrary-key removal by the model
-    /// checker, `keys`/`iter` (which sort anyway) — is a linear pass over
-    /// a set that is either cold or small.
-    overflow: Vec<Entry>,
-    /// Memoized earliest overflow key (`None` iff the tier is empty).
-    /// Maintained eagerly on insert/remove/rotate so the hot path never
-    /// scans the tier to learn its minimum.
-    overflow_min: Option<EventKey>,
+    /// Entries whose day lies past the window's end, in ascending key
+    /// order. The minimum is the front, sliding the window migrates a
+    /// prefix with O(1) pops, and an insert is a push at the back unless
+    /// it lands among the far tail already waiting here.
+    overflow: VecDeque<Entry>,
+    /// Day of the overflow tier's front (`u64::MAX` when empty), so
+    /// sliding the window learns "nothing to migrate" without touching
+    /// the tier.
+    overflow_day: u64,
     /// `buckets.len() - 1`; the bucket count is a power of two.
     mask: u64,
     /// Current width of one day in log2 microseconds. Re-derived at each
-    /// rotation from the overflow's density so bucket occupancy stays near
-    /// one event regardless of how tightly the workload packs time.
+    /// re-size from the spacing of the earliest pending events, so the
+    /// near traffic holds about one event per bucket however far out the
+    /// rest of the pending set reaches.
     day_shift: u32,
-    /// First day covered by the current window.
+    /// First day covered by the window, which spans `buckets.len()` days.
+    /// Every bucket day before it is empty, so it doubles as the min-scan
+    /// cursor; taking the global minimum slides it forward to that day.
     window_start: u64,
-    /// Scan cursor: every bucket day before `cur_day` is empty.
-    cur_day: u64,
     /// Number of pending events (slab occupancy).
     len: usize,
     /// Next insertion sequence number.
     next_seq: u64,
+    /// `next_seq` at the last re-size.
+    resized_at: u64,
+    /// Hysteresis: no re-size until `next_seq` reaches this. Each re-size
+    /// costs O(pending) and sets the mark a pending set's worth of
+    /// schedules out, so re-sizing amortizes to O(1) per event.
+    resize_after: u64,
+    /// Schedules routed to the overflow tier since the last re-size.
+    overflowed: u64,
+    /// Set past the hysteresis mark when a bucket crowds or most
+    /// schedules land past the window: the next take of the global
+    /// minimum re-sizes, moving the day width only the way the trigger
+    /// points.
+    resize_due: Option<Resize>,
+    /// Calendar re-layouts so far (the in-module tests bound them per
+    /// event).
+    #[cfg(test)]
+    rebuilds: u64,
     /// Memoized earliest pending key. `Some` is always correct; `None`
     /// means "recompute". Interior-mutable so `next_key(&self)` can cache
     /// its scan — the scheduler seam reads the min through `&Simulation`.
     cached_min: Cell<Option<EventKey>>,
 }
 
-/// Placeholder for unoccupied `prime` slots (never read: validity is
-/// governed by the `occupied` bitmap).
-const NO_ENTRY: Entry = (
-    EventKey {
-        at: SimTime::from_micros(0),
-        seq: 0,
-    },
-    0,
-);
-
 impl Default for EventQueue {
     fn default() -> Self {
         EventQueue {
             slab: Vec::new(),
             free: Vec::new(),
-            prime: vec![NO_ENTRY; INITIAL_BUCKETS],
-            spill: vec![Vec::new(); INITIAL_BUCKETS],
-            occupied: vec![0; INITIAL_BUCKETS / 64],
-            spill_used: vec![0; INITIAL_BUCKETS / 64],
-            bucket_len: 0,
-            overflow: Vec::new(),
-            overflow_min: None,
-            mask: (INITIAL_BUCKETS - 1) as u64,
+            buckets: vec![Bucket::EMPTY; MIN_BUCKETS],
+            spills: Vec::new(),
+            free_spills: Vec::new(),
+            occupied: vec![0; MIN_BUCKETS / 64],
+            overflow: VecDeque::new(),
+            overflow_day: u64::MAX,
+            mask: (MIN_BUCKETS - 1) as u64,
             day_shift: INITIAL_DAY_SHIFT,
             window_start: 0,
-            cur_day: 0,
             len: 0,
             next_seq: 0,
+            resized_at: 0,
+            resize_after: 0,
+            overflowed: 0,
+            resize_due: None,
+            #[cfg(test)]
+            rebuilds: 0,
             cached_min: Cell::new(None),
         }
     }
@@ -251,28 +322,54 @@ impl EventQueue {
     /// First day *not* covered by the current window.
     #[inline]
     fn window_end(&self) -> u64 {
-        self.window_start + self.prime.len() as u64
+        self.window_start + self.buckets.len() as u64
     }
 
-    /// Adds `entry` to bucket `idx`, keeping the bucket's minimum in its
-    /// prime slot. The common case (empty bucket) is one flat write plus a
-    /// bitmap bit; only a same-day collision touches the spill vector.
+    /// Whether bucket `idx` holds any entry.
+    #[inline]
+    fn is_occupied(&self, idx: usize) -> bool {
+        self.occupied[idx >> 6] >> (idx & 63) & 1 != 0
+    }
+
+    /// Adds `entry` to bucket `idx`, keeping the bucket's minimum inline
+    /// and its spill in key order. The common case (empty bucket) is one
+    /// flat write plus a bitmap bit; a same-day collision is usually a
+    /// push at either end of the spill, and marks a re-size due once the
+    /// spill reaches [`CROWDED`] entries spanning more than one timestamp.
     #[inline]
     fn bucket_insert(&mut self, idx: usize, entry: Entry) {
         let (w, b) = (idx >> 6, 1u64 << (idx & 63));
+        let bucket = &mut self.buckets[idx];
         if self.occupied[w] & b == 0 {
-            self.prime[idx] = entry;
-            self.occupied[w] |= b;
-        } else {
-            let evicted = if entry.0 < self.prime[idx].0 {
-                std::mem::replace(&mut self.prime[idx], entry)
-            } else {
-                entry
+            *bucket = Bucket {
+                key: entry.0,
+                slot: entry.1,
+                spill: NO_SPILL,
             };
-            self.spill[idx].push(evicted);
-            self.spill_used[w] |= b;
+            self.occupied[w] |= b;
+            return;
         }
-        self.bucket_len += 1;
+        if bucket.spill == NO_SPILL {
+            bucket.spill = self.free_spills.pop().unwrap_or_else(|| {
+                self.spills.push(VecDeque::new());
+                (self.spills.len() - 1) as u32
+            });
+        }
+        let spill = &mut self.spills[bucket.spill as usize];
+        if entry.0 < bucket.key {
+            spill.push_front(bucket.entry());
+            (bucket.key, bucket.slot) = entry;
+        } else if spill.back().is_none_or(|&(k, _)| k < entry.0) {
+            spill.push_back(entry);
+        } else {
+            spill.insert(spill.partition_point(|&(k, _)| k < entry.0), entry);
+        }
+        if spill.len() >= CROWDED
+            && self.next_seq >= self.resize_after
+            && spill.back().is_some_and(|&(k, _)| k.at != bucket.key.at)
+        {
+            self.resize_due = Some(Resize::Narrow);
+        }
     }
 
     /// Parks `event` in the slab and returns its slot.
@@ -308,22 +405,31 @@ impl EventQueue {
         let key = EventKey { at, seq };
         let slot = self.alloc(event);
         let day = self.day(at);
-        // Days outside the window — before it as well as past it — go to
-        // the overflow tier. "Before" cannot happen under the simulator's
-        // contract (every schedule targets `now` or later, and rotation
-        // re-bases onto the day of a consumed minimum), but the structure
-        // stays total rather than leaning on the caller.
-        if day >= self.window_start && day < self.window_end() {
+        // A day behind the window cannot happen under the simulator's
+        // contract (every schedule targets `now` or later, and the window
+        // starts at the day of a consumed minimum), but the structure
+        // stays total rather than leaning on the caller: the window
+        // re-bases onto the newcomer's day.
+        if day < self.window_start {
+            self.rebuild(self.day_shift, self.buckets.len(), at);
+        }
+        if day < self.window_end() {
             self.bucket_insert((day & self.mask) as usize, (key, slot));
-            // A re-armed cursor is cheaper than a subtle miss: if the new
-            // entry lands behind the cursor, rewind to its day.
-            if day < self.cur_day {
-                self.cur_day = day;
-            }
         } else {
-            self.overflow.push((key, slot));
-            if self.overflow_min.is_none_or(|m| key < m) {
-                self.overflow_min = Some(key);
+            if self.overflow.back().is_none_or(|&(k, _)| k < key) {
+                self.overflow.push_back((key, slot));
+            } else {
+                let pos = self.overflow.partition_point(|&(k, _)| k < key);
+                self.overflow.insert(pos, (key, slot));
+            }
+            self.overflow_day = self.overflow_day.min(day);
+            // Most schedules landing past the window means the days are
+            // too narrow for the traffic.
+            self.overflowed += 1;
+            if self.next_seq >= self.resize_after
+                && 2 * self.overflowed > self.next_seq - self.resized_at
+            {
+                self.resize_due = Some(Resize::Widen);
             }
         }
         self.len += 1;
@@ -337,9 +443,9 @@ impl EventQueue {
 
     /// First occupied bucket index at or circularly after `start`, if any.
     ///
-    /// Circular order from the cursor's index visits each bucket exactly
-    /// once, in increasing-day order of the days the window maps onto
-    /// them — so the first set bit is the first non-empty day. (Wrap
+    /// Circular order from the window start's index visits each bucket
+    /// exactly once, in increasing-day order of the days the window maps
+    /// onto them — so the first set bit is the first non-empty day. (Wrap
     /// happens at the array boundary, which is also a word boundary, so
     /// within any one word higher bits are always later days.)
     #[inline]
@@ -360,85 +466,149 @@ impl EventQueue {
         None
     }
 
-    /// The earliest key across the window's buckets, if any. The first
-    /// non-empty day holds the bucket-tier minimum — earlier days are
-    /// earlier times by construction (and every day before the cursor is
-    /// empty, so the bitmap scan starts there) — and its prime slot *is*
-    /// that day's minimum, so the whole scan is one find-first-set plus
-    /// one flat load.
-    #[inline]
-    fn bucket_min(&self) -> Option<EventKey> {
-        let idx = self.next_occupied((self.cur_day & self.mask) as usize)?;
-        Some(self.prime[idx].0)
+    /// The window's occupied bucket indices in day order.
+    fn occupied_in_order(&self) -> impl Iterator<Item = usize> + '_ {
+        (self.window_start..self.window_end())
+            .map(|day| (day & self.mask) as usize)
+            .filter(|&idx| self.is_occupied(idx))
     }
 
-    /// Re-bases the window onto the just-consumed global minimum at `at`
-    /// and migrates the newly-covered overflow entries into buckets. Only
-    /// legal when every bucket is empty, and only sound for an `at` no
-    /// later than any event the caller might still schedule — the take
-    /// path qualifies, since simulated time (and hence every future
-    /// `schedule`) is at or past the minimum it just consumed. For the
-    /// same reason every overflow key is `>= at`, so no migrated entry can
-    /// land behind the new window start.
-    ///
-    /// Sizing: the day width is re-derived from the overflow's density —
-    /// one day ≈ the average gap between pending events — and the bucket
-    /// count from how many such days the overflow spans, so occupancy
-    /// stays near one event per bucket whether the workload packs a
-    /// thousand events into a millisecond or sprays them over minutes.
-    fn rotate_to(&mut self, at: SimTime) {
-        debug_assert_eq!(self.bucket_len, 0, "rotation with occupied buckets");
-        let n = self.overflow.len() as u64;
-        let first = at.as_micros();
-        let last = self
-            .overflow
-            .iter()
-            .map(|&(k, _)| k.at.as_micros())
-            .max()
-            .unwrap_or(first);
-        let span = last.saturating_sub(first).max(1);
-        // Day width ≈ average inter-event gap (floor of its log2)…
-        let gap = (span / n.max(1)).max(1);
-        let mut shift = 63 - gap.leading_zeros();
-        // …widened until the span fits under the bucket ceiling.
-        while (span >> shift) >= MAX_BUCKETS as u64 {
-            shift += 1;
-        }
-        // Window ≈ 2× the overflow's span: events keep arriving while the
-        // new window drains, and a window that only just covers today's
-        // pending set would route most of those arrivals through the
-        // overflow tier (push, then migrate) instead of straight into a
-        // bucket. Wider would cut that detour further, but the bucket
-        // array itself is the hot path's cache footprint — past 2× the
-        // extra headers cost more in misses than the detour they save.
-        let buckets = usize::try_from((((span >> shift) + 2) * 2).next_power_of_two())
-            .unwrap_or(MAX_BUCKETS)
-            .clamp(INITIAL_BUCKETS, MAX_BUCKETS);
-        self.prime.resize(buckets, NO_ENTRY);
-        self.spill.resize(buckets, Vec::new());
-        self.occupied.clear();
-        self.occupied.resize(buckets / 64, 0);
-        self.spill_used.clear();
-        self.spill_used.resize(buckets / 64, 0);
-        self.mask = (buckets - 1) as u64;
-        self.day_shift = shift;
-        self.window_start = first >> shift;
-        self.cur_day = self.window_start;
+    /// The entries of bucket `idx` in key order.
+    fn bucket_entries(&self, idx: usize) -> impl Iterator<Item = Entry> + '_ {
+        let bucket = &self.buckets[idx];
+        let spill = self.spills.get(bucket.spill as usize);
+        std::iter::once(bucket.entry()).chain(spill.into_iter().flatten().copied())
+    }
+
+    /// Every pending entry in `(at, seq)` order: the buckets day by day,
+    /// then the overflow tier.
+    fn entries(&self) -> impl Iterator<Item = Entry> + '_ {
+        self.occupied_in_order()
+            .flat_map(|idx| self.bucket_entries(idx))
+            .chain(self.overflow.iter().copied())
+    }
+
+    /// Moves the overflow entries the window now covers — a prefix of
+    /// the tier, since the window starts at or before every pending day —
+    /// into buckets.
+    fn migrate(&mut self) {
         let end = self.window_end();
-        // Partition in place: entries whose day the new window covers move
-        // into buckets, the rest stay (keeping the tier's allocation).
-        let mut i = 0;
-        while i < self.overflow.len() {
-            let (key, slot) = self.overflow[i];
-            if self.day(key.at) < end {
-                self.overflow.swap_remove(i);
-                let idx = (self.day(key.at) & self.mask) as usize;
-                self.bucket_insert(idx, (key, slot));
-            } else {
-                i += 1;
+        self.overflow_day = u64::MAX;
+        while let Some(&(key, slot)) = self.overflow.front() {
+            let day = self.day(key.at);
+            if day >= end {
+                self.overflow_day = day;
+                break;
+            }
+            self.overflow.pop_front();
+            self.bucket_insert((day & self.mask) as usize, (key, slot));
+        }
+    }
+
+    /// The day width for the current pending set, from the spacing of its
+    /// earliest events.
+    ///
+    /// Brown's estimate ("Calendar Queues", CACM 1988): average the gaps
+    /// between the earliest [`WIDTH_SAMPLE`] events, drop the gaps above
+    /// twice that average, and average again — one far outlier cannot
+    /// stretch the result. Gaps of zero are left out first, since an
+    /// identical-timestamp burst shares a day under any width. The width
+    /// is the largest power of two not above the estimate, so the near
+    /// traffic lands about one event per day, and it may at most double
+    /// per re-size: in a lull the earliest events can themselves be the
+    /// far tail, and the estimate must not jump to its scale.
+    fn near_shift(&self) -> u32 {
+        let mut gaps = [0u64; WIDTH_SAMPLE];
+        let mut n = 0;
+        let mut prev = None;
+        for (key, _) in self.entries().take(WIDTH_SAMPLE + 1) {
+            let at = key.at.as_micros();
+            if let Some(p) = prev.filter(|&p| at > p) {
+                gaps[n] = at - p;
+                n += 1;
+            }
+            prev = Some(at);
+        }
+        let mean = |limit: u64| {
+            let kept = gaps[..n].iter().filter(|&&g| g <= limit);
+            let (sum, count) = kept.fold((0, 0), |(s, c), &g| (s + g, c + 1));
+            (count > 0).then(|| sum / count)
+        };
+        let Some(first) = mean(u64::MAX) else {
+            return self.day_shift;
+        };
+        let gap = mean(2 * first).unwrap_or(first).max(1);
+        (63 - gap.leading_zeros()).min(self.day_shift + 1)
+    }
+
+    /// Re-sizes the calendar onto the day of the just-consumed global
+    /// minimum at `at`. Sound for the same reason sliding is — nothing
+    /// pending lies behind the consumed minimum.
+    ///
+    /// The day width comes from [`EventQueue::near_shift`], but moves only
+    /// the way `dir` points: a burst of identical timestamps crowds a
+    /// bucket under any width, and must not talk the estimate into wider
+    /// days. The bucket count follows the pending count
+    /// ([`BUCKETS_PER_EVENT`] per event) once it leaves a factor-of-two
+    /// band around the current count. If neither changes, the window just
+    /// slides; either way the hysteresis mark moves a pending set's worth
+    /// of schedules out.
+    fn resize(&mut self, at: SimTime, dir: Resize) {
+        let estimate = self.near_shift();
+        let shift = match dir {
+            Resize::Narrow => estimate.min(self.day_shift),
+            Resize::Widen => estimate.max(self.day_shift),
+        };
+        let (current, target) = (self.buckets.len(), BUCKETS_PER_EVENT * self.len);
+        let buckets = if (current / 2..=current * 2).contains(&target) {
+            current
+        } else {
+            target.next_power_of_two().clamp(MIN_BUCKETS, MAX_BUCKETS)
+        };
+        self.resize_due = None;
+        self.overflowed = 0;
+        self.resized_at = self.next_seq;
+        self.resize_after = self.next_seq + self.len.max(MIN_BUCKETS) as u64;
+        if shift == self.day_shift && buckets == current {
+            self.window_start = self.day(at);
+            self.migrate();
+        } else {
+            self.rebuild(shift, buckets, at);
+        }
+    }
+
+    /// Lays the calendar out afresh — `2^shift` µs days, `buckets`
+    /// buckets, the window starting at the day of `at`, which must not be
+    /// later than any pending event. Every bucket entry moves to the
+    /// overflow tier in key order (the buckets day by day, in front of the
+    /// overflow, which already sits past them), and the new window pulls
+    /// back what it covers.
+    fn rebuild(&mut self, shift: u32, buckets: usize, at: SimTime) {
+        let mut all = Vec::with_capacity(self.len);
+        for day in self.window_start..self.window_end() {
+            let idx = (day & self.mask) as usize;
+            if self.is_occupied(idx) {
+                let bucket = self.buckets[idx];
+                all.push(bucket.entry());
+                if bucket.spill != NO_SPILL {
+                    all.extend(self.spills[bucket.spill as usize].drain(..));
+                    self.free_spills.push(bucket.spill);
+                }
             }
         }
-        self.overflow_min = self.overflow.iter().map(|&(k, _)| k).min();
+        all.extend(self.overflow.drain(..));
+        self.overflow = VecDeque::from(all);
+        self.occupied.clear();
+        self.occupied.resize(buckets / 64, 0);
+        self.buckets.resize(buckets, Bucket::EMPTY);
+        self.mask = (buckets - 1) as u64;
+        self.day_shift = shift;
+        self.window_start = self.day(at);
+        #[cfg(test)]
+        {
+            self.rebuilds += 1;
+        }
+        self.migrate();
     }
 
     /// Pops the earliest event, if any.
@@ -456,133 +626,103 @@ impl EventQueue {
         let is_cached_min = self.cached_min.get() == Some(key);
         let slot = if in_window {
             let idx = (day & self.mask) as usize;
-            let (w, b) = (idx >> 6, 1u64 << (idx & 63));
-            if self.occupied[w] & b == 0 {
+            if !self.is_occupied(idx) {
                 return None;
             }
-            if self.prime[idx].0 == key {
+            let bucket = self.buckets[idx];
+            if bucket.key == key {
                 // Taking the bucket's minimum — the overwhelmingly common
                 // case (the seeded scheduler always takes the global min,
-                // which is always a prime). Promote the smallest spill
-                // entry, if any, to keep the prime the bucket's min.
-                let slot = self.prime[idx].1;
-                if self.spill_used[w] & b != 0 {
-                    let spill = &mut self.spill[idx];
-                    let pos = spill
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|&(_, &(k, _))| k)
-                        .map(|(p, _)| p)
-                        // arbitree-lint: allow(D005) — the spill_used bit was just checked
-                        .expect("spill bit over empty spill");
-                    self.prime[idx] = spill.swap_remove(pos);
-                    if spill.is_empty() {
-                        self.spill_used[w] &= !b;
-                    }
+                // which is always a bucket minimum). The ordered spill's
+                // head, if any, is the bucket's next minimum.
+                if bucket.spill == NO_SPILL {
+                    self.occupied[idx >> 6] &= !(1u64 << (idx & 63));
                 } else {
-                    self.occupied[w] &= !b;
+                    let spill = &mut self.spills[bucket.spill as usize];
+                    let b = &mut self.buckets[idx];
+                    if let Some((key, slot)) = spill.pop_front() {
+                        (b.key, b.slot) = (key, slot);
+                    }
+                    if spill.is_empty() {
+                        self.free_spills.push(b.spill);
+                        b.spill = NO_SPILL;
+                    }
                 }
-                self.bucket_len -= 1;
-                slot
-            } else if self.spill_used[w] & b != 0 {
-                // Arbitrary-key removal (the model checker's path).
-                let spill = &mut self.spill[idx];
-                let pos = spill.iter().position(|&(k, _)| k == key)?;
-                let (_, slot) = spill.swap_remove(pos);
-                if spill.is_empty() {
-                    self.spill_used[w] &= !b;
-                }
-                self.bucket_len -= 1;
-                slot
+                bucket.slot
             } else {
-                return None;
+                // Arbitrary-key removal (the model checker's path).
+                let spill = self.spills.get_mut(bucket.spill as usize)?;
+                let pos = spill.binary_search_by_key(&key, |&(k, _)| k).ok()?;
+                let (_, slot) = spill.remove(pos)?;
+                if spill.is_empty() {
+                    self.free_spills.push(bucket.spill);
+                    self.buckets[idx].spill = NO_SPILL;
+                }
+                slot
             }
         } else {
-            let pos = self.overflow.iter().position(|&(k, _)| k == key)?;
-            let (_, slot) = self.overflow.swap_remove(pos);
-            if self.overflow_min == Some(key) {
-                self.overflow_min = self.overflow.iter().map(|&(k, _)| k).min();
+            let pos = self.overflow.binary_search_by_key(&key, |&(k, _)| k).ok()?;
+            let (_, slot) = self.overflow.remove(pos)?;
+            if pos == 0 {
+                self.overflow_day = self
+                    .overflow
+                    .front()
+                    .map_or(u64::MAX, |&(k, _)| self.day(k.at));
             }
             slot
         };
         self.len -= 1;
+        // The taken key was the global min: every earlier day is empty and
+        // simulated time is at least `key.at` from here on, so the window
+        // can slide forward to its day — or re-size there, when one is due
+        // — and pull the overflow entries it now covers into buckets.
         if is_cached_min {
             self.cached_min.set(None);
-            // The taken key was the global min: every bucket day before
-            // its own is empty, so the cursor can jump to it, and — once
-            // the window fully drains — the window itself can re-base
-            // there and pull the overflow tier forward. (Simulated time
-            // is at least `key.at` from here on, so no later schedule can
-            // land behind the new window start.)
-            if in_window && day > self.cur_day {
-                self.cur_day = day;
-            }
-            if self.bucket_len == 0 && self.overflow.len() >= ROTATE_MIN_OVERFLOW {
-                self.rotate_to(key.at);
-            } else if in_window {
+            if let Some(dir) = self.resize_due {
+                self.resize(key.at, dir);
+            } else {
+                if day > self.window_start {
+                    self.window_start = day;
+                    if self.overflow_day < self.window_end() {
+                        self.migrate();
+                    }
+                }
                 // If the min's bucket is still occupied (a spill entry was
-                // promoted), its prime is the new bucket-tier minimum —
-                // the next `next_key` needs no scan at all.
+                // promoted), its minimum is the new global minimum — the
+                // next `next_key` needs no scan at all.
                 let idx = (day & self.mask) as usize;
-                if self.occupied[idx >> 6] >> (idx & 63) & 1 != 0 {
-                    let b = self.prime[idx].0;
-                    self.cached_min
-                        .set(Some(self.overflow_min.map_or(b, |o| b.min(o))));
+                if in_window && self.is_occupied(idx) {
+                    self.cached_min.set(Some(self.buckets[idx].key));
                 }
             }
         }
         Some((key.at, self.release(slot)))
     }
 
-    /// The earliest pending key (what the seeded scheduler selects).
-    ///
-    /// The overflow tier usually holds only days past the window, but a
-    /// caller scheduling behind the window parks entries there too, so the
-    /// two tiers' minima must genuinely be compared.
+    /// The earliest pending key (what the seeded scheduler selects): the
+    /// first occupied day's minimum — one find-first-set plus one flat
+    /// load — or, with every bucket empty, the overflow tier's front.
     #[inline]
     pub fn next_key(&self) -> Option<EventKey> {
         if let Some(k) = self.cached_min.get() {
             return Some(k);
         }
-        let min = match (self.bucket_min(), self.overflow_min) {
-            (Some(b), o) if o.is_none_or(|o| b <= o) => Some(b),
-            (_, o) => o,
+        let min = match self.next_occupied((self.window_start & self.mask) as usize) {
+            Some(idx) => Some(self.buckets[idx].key),
+            None => self.overflow.front().map(|&(k, _)| k),
         };
         self.cached_min.set(min);
         min
     }
 
-    /// Every in-window entry: occupied primes plus all spill contents.
-    fn bucket_entries(&self) -> impl Iterator<Item = Entry> + '_ {
-        (0..self.prime.len())
-            .filter(|idx| self.occupied[idx >> 6] >> (idx & 63) & 1 != 0)
-            .map(|idx| self.prime[idx])
-            .chain(self.spill.iter().flat_map(|s| s.iter().copied()))
-    }
-
     /// All pending keys in `(at, seq)` order.
-    ///
-    /// Enumeration materializes and sorts — the model checker's enabled
-    /// sets are small, and global order is part of the API contract the
-    /// explorer's schedule counting depends on.
     pub fn keys(&self) -> impl Iterator<Item = EventKey> + '_ {
-        let mut keys: Vec<EventKey> = self
-            .bucket_entries()
-            .map(|(k, _)| k)
-            .chain(self.overflow.iter().map(|&(k, _)| k))
-            .collect();
-        keys.sort_unstable();
-        keys.into_iter()
+        self.entries().map(|(k, _)| k)
     }
 
     /// All pending events in `(at, seq)` order.
     pub fn iter(&self) -> impl Iterator<Item = (EventKey, &Event)> + '_ {
-        let mut entries: Vec<Entry> = self
-            .bucket_entries()
-            .chain(self.overflow.iter().copied())
-            .collect();
-        entries.sort_unstable_by_key(|&(k, _)| k);
-        entries.into_iter().map(|(k, slot)| {
+        self.entries().map(|(k, slot)| {
             (
                 k,
                 // arbitree-lint: allow(D005) — every queued entry points at a live slab slot
@@ -594,24 +734,21 @@ impl EventQueue {
     /// The pending event with `key`, if present.
     pub fn get(&self, key: EventKey) -> Option<&Event> {
         let day = self.day(key.at);
-        let slot = if day < self.window_end() && day >= self.window_start {
+        let slot = if day >= self.window_start && day < self.window_end() {
             let idx = (day & self.mask) as usize;
-            let (w, b) = (idx >> 6, 1u64 << (idx & 63));
-            if self.occupied[w] & b != 0 && self.prime[idx].0 == key {
-                self.prime[idx].1
-            } else if self.spill_used[w] & b != 0 {
-                self.spill[idx]
-                    .iter()
-                    .find(|&&(k, _)| k == key)
-                    .map(|&(_, s)| s)?
-            } else {
+            if !self.is_occupied(idx) {
                 return None;
             }
+            let bucket = &self.buckets[idx];
+            if bucket.key == key {
+                bucket.slot
+            } else {
+                let spill = self.spills.get(bucket.spill as usize)?;
+                spill[spill.binary_search_by_key(&key, |&(k, _)| k).ok()?].1
+            }
         } else {
-            self.overflow
-                .iter()
-                .find(|&&(k, _)| k == key)
-                .map(|&(_, s)| s)?
+            let pos = self.overflow.binary_search_by_key(&key, |&(k, _)| k).ok()?;
+            self.overflow[pos].1
         };
         self.slab[slot as usize].as_ref()
     }
@@ -716,6 +853,7 @@ impl BTreeQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::SimDuration;
 
     #[test]
     fn pops_in_time_order() {
@@ -801,7 +939,7 @@ mod tests {
     #[test]
     fn overflow_rotation_preserves_order() {
         let mut q = EventQueue::new();
-        let window_micros = (INITIAL_BUCKETS as u64) << INITIAL_DAY_SHIFT;
+        let window_micros = (MIN_BUCKETS as u64) << INITIAL_DAY_SHIFT;
         // One near event, a spray far beyond the first window, and one in
         // a later window still.
         q.schedule(SimTime::from_micros(1), Event::Reconfigure);
@@ -839,6 +977,62 @@ mod tests {
             q.slab.len() <= 2,
             "slab grew to {} slots for 2 concurrent events",
             q.slab.len()
+        );
+    }
+
+    /// A `hot-churn`-shaped hold model: half the pending set is near
+    /// traffic, each replaced at alternately a fixed 300 µs hop or a delay
+    /// up to 4 ms, and half a far tail spread over 5 s. The near traffic
+    /// must spread over many days — sizing days from the span of the whole
+    /// set would pile it into one — and re-layouts must stay rare.
+    #[test]
+    fn bimodal_schedule_keeps_buckets_small() {
+        const FAR: u64 = 5_000_000;
+        const STEPS: u64 = 200_000;
+        const WARM_UP: u64 = 10_000;
+        let mut rng = 0x2545_F491_4F6C_DD1Du64;
+        let mut draw = move |bound: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % bound
+        };
+        let mut q = EventQueue::new();
+        for i in 0..64u32 {
+            q.schedule(
+                SimTime::from_micros(draw(FAR)),
+                Event::Crash(SiteId::new(i)),
+            );
+            q.schedule(SimTime::from_micros(draw(4_096)), Event::Reconfigure);
+        }
+        let (mut worst, mut sum) = (0, 0);
+        for step in 0..STEPS {
+            let key = q.next_key().unwrap();
+            // Distinct timestamps sharing the minimum's day.
+            let idx = (q.day(key.at) & q.mask) as usize;
+            let mut times: Vec<SimTime> = q.bucket_entries(idx).map(|(k, _)| k.at).collect();
+            times.dedup();
+            if step >= WARM_UP {
+                worst = worst.max(times.len());
+                sum += times.len();
+            }
+            let (at, event) = q.take(key).unwrap();
+            let delay = match event {
+                Event::Crash(_) => 1 + draw(FAR),
+                _ if step % 2 == 0 => 300,
+                _ => 1 + draw(4_096),
+            };
+            q.schedule(at + SimDuration::from_micros(delay), event);
+        }
+        let mean = sum as f64 / (STEPS - WARM_UP) as f64;
+        assert!(
+            worst <= 8 && mean < 1.5,
+            "near traffic crowds its days: up to {worst} distinct timestamps a day, {mean:.2} on average"
+        );
+        assert!(
+            q.rebuilds <= STEPS / 10_000,
+            "{} re-layouts in {STEPS} events",
+            q.rebuilds
         );
     }
 

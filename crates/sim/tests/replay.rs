@@ -143,8 +143,9 @@ mod scheduler_seam {
 /// same `take`-by-arbitrary-key results — over randomized interleavings of
 /// schedules (near, far, and colliding timestamps), pops, and takes. This
 /// is the ordering oracle for the event-engine swap: the interleavings are
-/// chosen to push events through every tier (bucket hit, overflow insert,
-/// window rotation, slab recycling).
+/// chosen to push events through every tier (bucket hit, spill, overflow
+/// insert, window slide and re-base, slab recycling), and the bimodal
+/// driver pushes them through re-sizes as well.
 mod queue_equivalence {
     use super::*;
     use arbitree_sim::{BTreeQueue, ClientId, Event, EventQueue, SimTime};
@@ -180,6 +181,66 @@ mod queue_equivalence {
                 5..=6 => Op::Pop,
                 _ => Op::Take(idx),
             })
+    }
+
+    /// One step of the bimodal driver, which schedules relative to the
+    /// clock (the time of the last pop) the way the simulator does.
+    #[derive(Debug, Clone)]
+    enum Bimodal {
+        /// Schedule a tagged event a jittered delay (µs) from now.
+        Near(u64, u32),
+        /// Schedule a tagged event one fixed 300 µs hop from now.
+        Hop(u32),
+        /// Schedule a tagged event far out (µs), up to 5 s from now.
+        Far(u64, u32),
+        /// Schedule `n` events at one timestamp, a delay (µs) from now.
+        Burst(u32, u64),
+        /// Pop the earliest event from both queues and advance the clock.
+        Pop,
+        /// Take the pending key at index `i % len` of the enumeration.
+        Take(usize),
+    }
+
+    fn bimodal_strategy() -> impl Strategy<Value = Bimodal> {
+        // Weighted mix: 3/12 jittered near, 2/12 fixed hops, 1/12 far,
+        // 1/12 bursts of up to 24 — together more than the 3/12 pops and
+        // 2/12 takes drain, so the pending set grows through several
+        // bucket-count bands and crowds buckets along the way.
+        (
+            0u8..12,
+            1u64..4_096,
+            1u64..5_000_000,
+            2u32..24,
+            any::<u32>(),
+            any::<usize>(),
+        )
+            .prop_map(|(sel, near, far, n, tag, idx)| match sel {
+                0..=2 => Bimodal::Near(near, tag),
+                3..=4 => Bimodal::Hop(tag),
+                5 => Bimodal::Far(far, tag),
+                6 => Bimodal::Burst(n, near),
+                7..=9 => Bimodal::Pop,
+                _ => Bimodal::Take(idx),
+            })
+    }
+
+    /// Schedules the same tagged event at `t` µs on both queues.
+    fn schedule(cal: &mut EventQueue, btree: &mut BTreeQueue, t: u64, tag: u32) {
+        let at = SimTime::from_micros(t);
+        cal.schedule(at, Event::ClientTick(ClientId(tag)));
+        btree.schedule(at, Event::ClientTick(ClientId(tag)));
+    }
+
+    /// Full observational equality of the two queues.
+    fn assert_same(cal: &EventQueue, btree: &BTreeQueue) {
+        assert_eq!(cal.len(), btree.len());
+        assert_eq!(cal.next_key(), btree.next_key());
+        let ck: Vec<_> = cal.iter().collect();
+        let bk: Vec<_> = btree.iter().collect();
+        assert_eq!(ck, bk, "iter() enumeration diverged");
+        for (k, _) in &bk {
+            assert_eq!(cal.get(*k), btree.get(*k));
+        }
     }
 
     /// Drains both queues to the end, checking order at every step.
@@ -239,6 +300,45 @@ mod queue_equivalence {
                 let ci: Vec<_> = cal.iter().collect();
                 let bi: Vec<_> = btree.iter().collect();
                 prop_assert_eq!(ci, bi, "iter() enumeration diverged");
+            }
+            drain_and_compare(&mut cal, &mut btree);
+        }
+
+        #[test]
+        fn calendar_queue_matches_reference_under_bimodal_load(
+            ops in proptest::collection::vec(bimodal_strategy(), 1..600),
+        ) {
+            let mut cal = EventQueue::new();
+            let mut btree = BTreeQueue::new();
+            let mut now = 0u64;
+            for op in &ops {
+                match *op {
+                    Bimodal::Near(d, tag) => schedule(&mut cal, &mut btree, now + d, tag),
+                    Bimodal::Hop(tag) => schedule(&mut cal, &mut btree, now + 300, tag),
+                    Bimodal::Far(d, tag) => schedule(&mut cal, &mut btree, now + d, tag),
+                    Bimodal::Burst(n, d) => {
+                        for tag in 0..n {
+                            schedule(&mut cal, &mut btree, now + d, tag);
+                        }
+                    }
+                    Bimodal::Pop => {
+                        let popped = btree.pop();
+                        prop_assert_eq!(cal.pop(), popped.clone());
+                        if let Some((at, _)) = popped {
+                            now = at.as_micros();
+                        }
+                    }
+                    Bimodal::Take(i) => {
+                        let keys: Vec<_> = btree.keys().collect();
+                        if keys.is_empty() {
+                            continue;
+                        }
+                        let key = keys[i % keys.len()];
+                        prop_assert_eq!(cal.take(key), btree.take(key));
+                        prop_assert!(cal.get(key).is_none());
+                    }
+                }
+                assert_same(&cal, &btree);
             }
             drain_and_compare(&mut cal, &mut btree);
         }
