@@ -8,6 +8,13 @@
 //!    it costs (worst-case write cost).
 //! 3. **Availability evaluators**: exact enumeration vs Monte-Carlo error at
 //!    matching budgets.
+//! 4. **Degraded costs**: mean read cost under failures, tree-quorum vs
+//!    arbitrary.
+//! 5. **Read-repair**: the same churned run with repair off and on.
+//! 6. **Reconfiguration**: live protocol swaps mid-run.
+//!
+//! Sections 5 and 6 report simulated-time counts, so two runs print the
+//! same numbers on any host.
 //!
 //! Usage: `ablations [--n <n>]` (default 100).
 
@@ -17,6 +24,9 @@ use arbitree_core::builder::{balanced, even_levels};
 use arbitree_core::{ArbitraryProtocol, ArbitraryTree, TreeMetrics};
 use arbitree_quorum::{
     exact_availability, monte_carlo_availability, AliveSet, QuorumSet, ReplicaControl, SetSystem,
+};
+use arbitree_sim::{
+    run_simulation, FailureSchedule, SimConfig, SimDuration, SimReport, SimTime, Simulation,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -29,6 +39,107 @@ fn main() {
     shape_ablation(n);
     availability_ablation();
     degraded_cost_ablation();
+    read_repair_ablation();
+    reconfiguration_ablation();
+}
+
+/// The dynamic ablations' run: 4 clients on 4 objects for 300 ms.
+fn sim_config(seed: u64) -> SimConfig {
+    SimConfig {
+        seed,
+        clients: 4,
+        objects: 4,
+        duration: SimDuration::from_millis(300),
+        ..SimConfig::default()
+    }
+}
+
+/// The simulated-time columns sections 5 and 6 share.
+fn sim_row(label: &str, report: &SimReport) -> Vec<String> {
+    let m = &report.metrics;
+    vec![
+        label.to_string(),
+        m.ops_ok().to_string(),
+        fmt_f(m.messages_sent as f64 / m.ops_ok().max(1) as f64),
+        m.repairs_sent.to_string(),
+        m.migration_writes.to_string(),
+        m.mean_latency().map_or("-".into(), |d| d.to_string()),
+        if report.consistent {
+            "yes".into()
+        } else {
+            format!("NO ({})", report.violations)
+        },
+    ]
+}
+
+const SIM_HEADERS: [&str; 7] = [
+    "run",
+    "ops ok",
+    "msgs/op",
+    "repairs sent",
+    "migration writes",
+    "mean latency",
+    "1SR",
+];
+
+/// Ablation 5: read-repair off vs on, 1-3-5 under random crash/recovery.
+fn read_repair_ablation() {
+    println!("\nAblation 5 — read-repair on tree 1-3-5 under churn (300 ms simulated)\n");
+    let rows: Vec<Vec<String>> = [false, true]
+        .into_iter()
+        .map(|read_repair| {
+            let config = SimConfig {
+                read_repair,
+                ..sim_config(3)
+            };
+            let failures = FailureSchedule::random(
+                8,
+                config.duration,
+                SimDuration::from_millis(15),
+                SimDuration::from_millis(5),
+                9,
+            );
+            let proto = ArbitraryProtocol::parse("1-3-5").expect("valid");
+            let report = run_simulation(config, proto, &failures);
+            sim_row(
+                if read_repair {
+                    "repair on"
+                } else {
+                    "repair off"
+                },
+                &report,
+            )
+        })
+        .collect();
+    print!("{}", render_table(&SIM_HEADERS, &rows));
+    println!("(repair refreshes read-quorum members that returned an older timestamp)");
+}
+
+/// Ablation 6: a live swap 100 ms in, between trees and to ROWA.
+fn reconfiguration_ablation() {
+    use arbitree_baselines::Rowa;
+    println!("\nAblation 6 — live reconfiguration at 100 ms (300 ms simulated)\n");
+    let swap = |seed: u64, from: &str, to: Box<dyn ReplicaControl>| {
+        let mut sim = Simulation::new(
+            sim_config(seed),
+            ArbitraryProtocol::parse(from).expect("valid"),
+        );
+        sim.schedule_reconfigure_boxed(SimTime::from_millis(100), to);
+        sim.run()
+    };
+    let rows = vec![
+        sim_row(
+            "1-9 -> 1-2-3-4",
+            &swap(
+                4,
+                "1-9",
+                Box::new(ArbitraryProtocol::parse("1-2-3-4").expect("valid")),
+            ),
+        ),
+        sim_row("1-3-5 -> rowa", &swap(5, "1-3-5", Box::new(Rowa::new(8)))),
+    ];
+    print!("{}", render_table(&SIM_HEADERS, &rows));
+    println!("(a swap migrates each of the 4 objects with one write under the new protocol)");
 }
 
 /// Ablation 4: communication costs under failures. The tree-quorum

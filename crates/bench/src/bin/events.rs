@@ -24,7 +24,10 @@
 //!   (queue, slab, outbox pooling, copy-free payload fan-out) in one
 //!   number. Events are counted by a wrapping scheduler, so the figure is
 //!   exact, not estimated. (1023 logical sites exceeds the 128-site
-//!   `AliveSet`; the queue tier covers that size.)
+//!   `AliveSet`; the queue tier covers that size.) The tier also prices
+//!   the model checker's per-state work on one mid-run `1-3-5` state:
+//!   ns per call of each fingerprint width, and the wall time of a
+//!   `ReplayScheduler` run over the seeded run whose schedule it replays.
 //!
 //! Usage: `events [--smoke] [--steps <n>] [--out <path>]` (defaults:
 //! 2 000 000 hold steps per queue cell, 200 ms simulated per sim cell;
@@ -41,13 +44,17 @@ use arbitree_bench::events_driver::{bimodal_hold_model, hold_model};
 use arbitree_bench::report::{json_str, BenchReport, BenchRow};
 use arbitree_core::ArbitraryProtocol;
 use arbitree_sim::{
-    BTreeQueue, EventKey, EventQueue, Scheduler, SimConfig, SimDuration, Simulation,
+    BTreeQueue, EventKey, EventQueue, ReplayScheduler, Scheduler, SeededScheduler, SimConfig,
+    SimDuration, Simulation,
 };
+use std::hint::black_box;
 // arbitree-lint: allow(D002) — wall-clock timing of the bench harness itself, not simulated time
 use std::time::Instant;
 
 /// Pending-set sizes swept by the hold model; the last anchors the gate.
 const PENDING: [usize; 4] = [7, 31, 127, 1023];
+/// The pending-set size whose cells the speedup gate covers.
+const GATE_PENDING: usize = PENDING[PENDING.len() - 1];
 /// Write-path share of scheduled events, in permille.
 const WRITE_MIX: [u64; 3] = [100, 500, 900];
 /// Write mix of the bimodal cell (which runs at the gate's pending size).
@@ -60,6 +67,10 @@ const HORIZON_MICROS: u64 = 4_096;
 const SIM_SPECS: [(&str, usize); 3] = [("1-2-4", 7), ("1-2-4-8-16", 31), ("1-2-4-8-16-32-64", 127)];
 /// Read fractions swept in the simulation tier.
 const READ_FRACTIONS: [f64; 3] = [0.1, 0.5, 0.9];
+/// Seeded steps that park the audit-cost simulation in its mid-run state.
+const AUDIT_STEPS: usize = 500;
+/// Runs per timed batch on each side of a replay/seeded pair.
+const REPLAY_RUNS: u32 = 10;
 
 /// A hold-model driver: `(seed, pending, steps, horizon, write_permille)`
 /// to `(events, checksum)`.
@@ -92,6 +103,15 @@ fn median(sorted: &[f64]) -> f64 {
         n if n % 2 == 1 => sorted[n / 2],
         n => (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0,
     }
+}
+
+/// `min-max` of an ascending slice of pair ratios.
+fn pair_range(sorted: &[f64]) -> String {
+    format!(
+        "{}-{}",
+        fmt_f(sorted.first().copied().unwrap_or(0.0)),
+        fmt_f(sorted.last().copied().unwrap_or(0.0))
+    )
 }
 
 /// Times `pairs` alternating calendar/baseline runs of one cell, after an
@@ -173,6 +193,126 @@ impl Scheduler for CountingScheduler {
     }
 }
 
+/// The seeded policy, stopped after `left` steps, recording the keys it
+/// fires: parks a simulation in a mid-run state (staged writes, in-flight
+/// quorum rounds, pending timers) and yields the schedule that reached it.
+struct Capped {
+    left: usize,
+    keys: Vec<EventKey>,
+}
+
+impl Scheduler for Capped {
+    fn select(&mut self, sim: &Simulation) -> Option<EventKey> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let key = SeededScheduler.select(sim)?;
+        self.keys.push(key);
+        Some(key)
+    }
+}
+
+/// The model checker's per-state costs on one mid-run state.
+struct AuditCost {
+    /// `(function, median ns per call)` for each fingerprint width.
+    fingerprint_ns: [(&'static str, f64); 3],
+    /// Per-pair `replay / seeded` wall-time ratios, sorted.
+    replay_ratios: Vec<f64>,
+}
+
+/// A fresh audit-cost simulation: `1-3-5`, 4 clients on 4 objects.
+fn audit_sim() -> Simulation {
+    let config = SimConfig {
+        seed: 7,
+        clients: 4,
+        objects: 4,
+        duration: SimDuration::from_millis(50),
+        ..SimConfig::default()
+    };
+    Simulation::new(
+        config,
+        ArbitraryProtocol::parse("1-3-5").expect("valid tree spec"),
+    )
+}
+
+/// Median ns per call of `f` over `samples` timed batches of `calls`.
+fn ns_per_call(samples: usize, calls: u32, f: impl Fn() -> u64) -> f64 {
+    let mut ns: Vec<f64> = (0..samples)
+        .map(|_| {
+            // arbitree-lint: allow(D002) — wall-clock timing of the bench itself
+            let t0 = Instant::now();
+            for _ in 0..calls {
+                black_box(f());
+            }
+            t0.elapsed().as_secs_f64() * 1e9 / f64::from(calls)
+        })
+        .collect();
+    ns.sort_by(f64::total_cmp);
+    median(&ns)
+}
+
+/// Times the three fingerprint widths on the state [`AUDIT_STEPS`] seeded
+/// steps in, then `pairs` alternating batches of [`REPLAY_RUNS`] seeded
+/// and replayed runs of those steps (construction included: replay always
+/// pays it). Every replay must fire the whole schedule and reach the
+/// seeded run's fingerprint.
+fn audit_cost(samples: usize, calls: u32, pairs: usize) -> AuditCost {
+    let seeded = || {
+        let mut sim = audit_sim();
+        let mut capped = Capped {
+            left: AUDIT_STEPS,
+            keys: Vec::with_capacity(AUDIT_STEPS),
+        };
+        sim.run_with(&mut capped);
+        (sim, capped.keys)
+    };
+    let (sim, schedule) = seeded();
+    assert_eq!(
+        schedule.len(),
+        AUDIT_STEPS,
+        "seeded run must supply every step"
+    );
+    let fingerprint_ns = [
+        (
+            "fingerprint()",
+            ns_per_call(samples, calls, || sim.fingerprint()),
+        ),
+        (
+            "fingerprint_wide()",
+            ns_per_call(samples, calls, || sim.fingerprint_wide().0),
+        ),
+        (
+            "fingerprint_canonical()",
+            ns_per_call(samples, calls, || sim.fingerprint_canonical().0),
+        ),
+    ];
+    let seeded_run = || seeded().0.fingerprint();
+    let replay_run = || {
+        let mut sim = audit_sim();
+        let mut replay = ReplayScheduler::new(&schedule);
+        sim.run_with(&mut replay);
+        assert!(replay.missing().is_none(), "recorded schedule must replay");
+        sim.fingerprint()
+    };
+    assert_eq!(
+        replay_run(),
+        sim.fingerprint(),
+        "replay must reach the seeded state"
+    );
+    let mut replay_ratios: Vec<f64> = (0..pairs)
+        .map(|_| {
+            let seeded_ns = ns_per_call(1, REPLAY_RUNS, seeded_run);
+            ns_per_call(1, REPLAY_RUNS, replay_run) / seeded_ns.max(1e-9)
+        })
+        .collect();
+    replay_ratios.sort_by(f64::total_cmp);
+    AuditCost {
+        fingerprint_ns,
+        replay_ratios,
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -212,7 +352,7 @@ fn main() {
         "bimodal",
         bimodal_hold_model::<EventQueue>,
         bimodal_hold_model::<BTreeQueue>,
-        PENDING[PENDING.len() - 1],
+        GATE_PENDING,
         BIMODAL_WRITE_MIX,
         steps,
         pairs,
@@ -228,11 +368,7 @@ fn main() {
                 fmt_f(c.calendar_eps / 1e6),
                 fmt_f(c.btree_eps / 1e6),
                 fmt_f(c.speedup()),
-                format!(
-                    "{}-{}",
-                    fmt_f(c.ratios.first().copied().unwrap_or(0.0)),
-                    fmt_f(c.ratios.last().copied().unwrap_or(0.0))
-                ),
+                pair_range(&c.ratios),
                 if c.checksums_agree { "ok" } else { "DIVERGED" }.to_string(),
             ]
         })
@@ -313,16 +449,37 @@ fn main() {
     );
     println!("(whole-simulator events per wall second, every engine layer included)");
 
+    let (samples, calls, replay_pairs) = if smoke { (3, 50, 3) } else { (9, 200, 9) };
+    let audit = audit_cost(samples, calls, replay_pairs);
+    let mut rows: Vec<Vec<String>> = audit
+        .fingerprint_ns
+        .iter()
+        .map(|&(name, ns)| vec![name.to_string(), format!("{ns:.0} ns/call"), String::new()])
+        .collect();
+    rows.push(vec![
+        format!("replay / seeded ({AUDIT_STEPS} steps)"),
+        format!("{}x", fmt_f(median(&audit.replay_ratios))),
+        pair_range(&audit.replay_ratios),
+    ]);
+    print!(
+        "{}",
+        render_table(&["audit cost", "median", "pair range"], &rows)
+    );
+    println!(
+        "(1-3-5 parked after {AUDIT_STEPS} seeded steps; fingerprints: median of {samples} \
+         batches of {calls} calls; replay: median of {replay_pairs} alternating pairs of \
+         {REPLAY_RUNS}-run batches)"
+    );
+
     // --- Gate -----------------------------------------------------------
-    let gate_pending = PENDING[PENDING.len() - 1];
     let bar = if smoke { 1.0 } else { 3.0 };
     let gate_speedup = queue_cells
         .iter()
-        .filter(|c| c.pending == gate_pending)
+        .filter(|c| c.pending == GATE_PENDING)
         .map(QueueCell::speedup)
         .fold(f64::INFINITY, f64::min);
     println!(
-        "speedup @ {gate_pending} pending (worst cell): {}x (bar {}x, target 10x)",
+        "speedup @ {GATE_PENDING} pending (worst cell): {}x (bar {}x, target 10x)",
         fmt_f(gate_speedup),
         fmt_f(bar)
     );
@@ -331,10 +488,10 @@ fn main() {
         smoke,
         steps,
         sim_ms,
-        gate_pending,
         gate_speedup,
         &queue_cells,
         &sim_cells,
+        &audit,
     );
     std::fs::write(out_path, json).expect("write BENCH_events.json");
     println!("wrote {out_path}");
@@ -348,7 +505,7 @@ fn main() {
         std::process::exit(1);
     }
     if gate_speedup < bar {
-        println!("FAIL: calendar queue below its {bar}x bar at {gate_pending} pending");
+        println!("FAIL: calendar queue below its {bar}x bar at {GATE_PENDING} pending");
         std::process::exit(1);
     }
     println!("OK: pop order identical; calendar queue clears its {bar}x bar");
@@ -361,10 +518,10 @@ fn render_json(
     smoke: bool,
     steps: u64,
     sim_ms: u64,
-    gate_pending: usize,
     gate_speedup: f64,
     queue_cells: &[QueueCell],
     sim_cells: &[SimCell],
+    audit: &AuditCost,
 ) -> String {
     let mut report = BenchReport::new("events")
         .config("smoke", smoke)
@@ -417,8 +574,31 @@ fn render_json(
             .field("consistent", c.consistent),
         );
     }
+    for &(name, ns) in &audit.fingerprint_ns {
+        report = report.row(
+            BenchRow::plain(format!("sim {name}"))
+                .field("tier", json_str("sim"))
+                .field("steps", AUDIT_STEPS)
+                .field("ns_per_call", format!("{ns:.0}")),
+        );
+    }
+    let ratios = &audit.replay_ratios;
+    report = report.row(
+        BenchRow::plain("sim replay/seeded")
+            .field("tier", json_str("sim"))
+            .field("steps", AUDIT_STEPS)
+            .field("ratio", format!("{:.3}", median(ratios)))
+            .field(
+                "ratio_min",
+                format!("{:.3}", ratios.first().copied().unwrap_or(0.0)),
+            )
+            .field(
+                "ratio_max",
+                format!("{:.3}", ratios.last().copied().unwrap_or(0.0)),
+            ),
+    );
     report
-        .summary("gate_pending", gate_pending)
+        .summary("gate_pending", GATE_PENDING)
         .summary("gate_speedup", format!("{gate_speedup:.2}"))
         .to_json()
 }

@@ -10,6 +10,11 @@
 //! * **Kill matrix** — every seeded [`RaceMutation`] runs its mutated
 //!   scenario; the analyzer must report at least one finding of the
 //!   mutation's defect class, and the unmutated suite must stay clean.
+//! * **Recording tax** — the wall time of the two harness paths with a
+//!   live session over their time with none (a no-op [`parallel_map`],
+//!   where traced operations are the whole workload, and a small
+//!   [`run_cells`] batch, where simulation work dwarfs them). Reported,
+//!   not gated.
 //!
 //! Usage: `race_audit [--smoke] [--json <path>]` (default path
 //! `RACE_report.json`; `--smoke` shrinks the chaos batch for CI). Exit
@@ -23,6 +28,12 @@ use arbitree_sim::{
     build_profile, parallel_map, run_cells, ExperimentCell, FailureSchedule, NemesisKind,
     NetworkConfig, SimConfig, SimDuration,
 };
+use std::hint::black_box;
+// arbitree-lint: allow(D002) — wall-clock timing of the bench harness itself, not simulated time
+use std::time::Instant;
+
+/// Alternating repetitions behind each recording-tax ratio.
+const TAX_REPS: usize = 101;
 
 /// One smoke scenario's outcome.
 struct Smoke {
@@ -74,6 +85,16 @@ fn main() {
         }
     }
 
+    let taxes = [
+        ("parallel-map", recording_tax(map_noop)),
+        ("run-cells", recording_tax(small_batch)),
+    ];
+    for (name, tax) in &taxes {
+        println!(
+            "tax   {name:<22} {tax:.2}x recorded / no session (median of {TAX_REPS} alternating runs)"
+        );
+    }
+
     let baseline = analyze(&mutants::run(None));
     println!(
         "baseline (all scenarios unmutated): {}",
@@ -108,7 +129,7 @@ fn main() {
 
     std::fs::write(
         json_path,
-        render_json(smoke_mode, &smokes, &baseline, &kills),
+        render_json(smoke_mode, &smokes, &taxes, &baseline, &kills),
     )
     .expect("write race report JSON");
     println!("wrote {json_path}");
@@ -134,12 +155,16 @@ fn main() {
     );
 }
 
-/// The work-stealing map over 128 items: index claims via traced mutexes,
-/// results returned over the traced channel.
-fn parallel_map_smoke() -> Smoke {
-    let session = Session::start();
+/// The work-stealing map over 128 no-op items: index claims via traced
+/// mutexes, results returned over the traced channel.
+fn map_noop() {
     let out = parallel_map((0..128u64).collect(), |i| i.wrapping_mul(0x9E37_79B9));
     assert_eq!(out.len(), 128);
+}
+
+fn parallel_map_smoke() -> Smoke {
+    let session = Session::start();
+    map_noop();
     Smoke {
         name: "parallel-map",
         report: analyze(&session.finish()),
@@ -189,6 +214,44 @@ fn chaos_batch(smoke_mode: bool) -> Smoke {
     }
 }
 
+/// Two fault-free 20 ms cells of `1-3-5`.
+fn small_batch() {
+    let cells: Vec<ExperimentCell> = (0..2u64)
+        .map(|seed| {
+            let config = SimConfig {
+                seed,
+                duration: SimDuration::from_millis(20),
+                ..SimConfig::default()
+            };
+            ExperimentCell::new(format!("tax-{seed}"), config, proto())
+        })
+        .collect();
+    black_box(run_cells(cells));
+}
+
+/// Median wall time of `work` inside a live session (start and drain
+/// included) over its median with no session, across [`TAX_REPS`]
+/// alternating repetitions after an untimed warm-up of each.
+fn recording_tax(work: fn()) -> f64 {
+    let time = |recorded: bool| {
+        // arbitree-lint: allow(D002) — wall-clock timing of the bench itself
+        let t0 = Instant::now();
+        let session = recorded.then(Session::start);
+        work();
+        if let Some(session) = session {
+            black_box(session.finish());
+        }
+        t0.elapsed().as_secs_f64()
+    };
+    time(false);
+    time(true);
+    let (mut off, mut on): (Vec<f64>, Vec<f64>) =
+        (0..TAX_REPS).map(|_| (time(false), time(true))).unzip();
+    off.sort_by(f64::total_cmp);
+    on.sort_by(f64::total_cmp);
+    on[TAX_REPS / 2] / off[TAX_REPS / 2].max(1e-12)
+}
+
 fn proto() -> ArbitraryProtocol {
     ArbitraryProtocol::parse("1-3-5").expect("valid tree spec")
 }
@@ -198,6 +261,7 @@ fn proto() -> ArbitraryProtocol {
 fn render_json(
     smoke_mode: bool,
     smokes: &[Smoke],
+    taxes: &[(&str, f64)],
     baseline: &RaceReport,
     kills: &[Kill],
 ) -> String {
@@ -216,6 +280,13 @@ fn render_json(
                 .field("locks", sm.report.locks)
                 .field("cells", sm.report.cells)
                 .field("hb_suppressed", sm.report.hb_suppressed),
+        );
+    }
+    for (name, tax) in taxes {
+        report = report.row(
+            BenchRow::plain(format!("recording-tax {name}"))
+                .field("recorded_over_no_session", format!("{tax:.3}"))
+                .field("reps", TAX_REPS),
         );
     }
     let mut matrix = String::from("[\n");

@@ -20,9 +20,10 @@
 //! smoke suite under recording sessions plus the seeded-mutation kill
 //! matrix, and writes `RACE_report.json`.
 //!
-//! Criterion microbenchmarks live in `benches/`: quorum enumeration and
-//! picking, LP-solver scaling, simulator throughput, and the ablations
-//! DESIGN.md calls out.
+//! Other binaries measure the implementation: `events` (event-queue and
+//! whole-simulator rates, fingerprint and replay cost), `throughput`,
+//! `repair`, and `race_audit`'s recording-tax rows. `ablations` runs the
+//! design ablations DESIGN.md calls out.
 
 /// Shared command-line helper: parse `--n <max_n>` and `--p <prob>` style
 /// arguments with defaults, ignoring anything else.
@@ -211,8 +212,8 @@ pub mod report {
 /// Shared driver for the event-queue microbench tier: the same synthetic
 /// hold-model workload runs against the production calendar queue and
 /// (behind `--features reference-queue`) the pre-calendar `BTreeQueue`
-/// oracle, so the `events` bin and the criterion bench measure identical
-/// work on both sides of the swap.
+/// oracle, so the `events` bin measures identical work on both sides of
+/// the swap.
 pub mod events_driver {
     use arbitree_sim::{
         ClientId, Endpoint, Event, EventQueue, Message, ObjectId, OpId, Payload, SimTime,

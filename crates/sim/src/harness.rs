@@ -17,12 +17,20 @@ use rand::{Rng, SeedableRng};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+/// Number of independently seeded chunks [`empirical_availability`] splits
+/// its trials into. Fixed rather than taken from the host's core count, so
+/// one seed gives the same numbers on every machine.
+const AVAILABILITY_CHUNKS: u32 = 8;
+
 /// Empirical read/write availability: sample `trials` alive-site vectors
 /// (each site up independently with probability `p`) and count the fraction
 /// in which the protocol can assemble each quorum kind.
 ///
 /// This is the *static* availability experiment — it measures exactly the
 /// quantity the paper's formulas describe, independent of timeout dynamics.
+/// The trials run as [`AVAILABILITY_CHUNKS`] seeded chunks through
+/// [`parallel_map`]; the split and the chunk seeds depend only on `trials`
+/// and `seed`.
 ///
 /// # Panics
 ///
@@ -39,46 +47,38 @@ pub fn empirical_availability<P: ReplicaControl + Sync + ?Sized>(
     let n = protocol.universe().len();
     assert!(n <= AliveSet::MAX_SITES);
 
-    let threads = std::thread::available_parallelism().map_or(1, |t| t.get().min(8));
-    let per_thread = trials / threads as u32;
-    let remainder = trials % threads as u32;
-
-    let totals = race::scope(|scope| {
-        let mut handles = Vec::new();
-        for t in 0..threads {
-            let my_trials = per_thread + u32::from((t as u32) < remainder);
+    let chunks: Vec<(u32, u64)> = (0..AVAILABILITY_CHUNKS)
+        .map(|t| {
+            let my_trials =
+                trials / AVAILABILITY_CHUNKS + u32::from(t < trials % AVAILABILITY_CHUNKS);
             let my_seed = seed
-                .wrapping_add(t as u64)
+                .wrapping_add(u64::from(t))
                 .wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            handles.push(scope.spawn(move |_| {
-                let mut rng = StdRng::seed_from_u64(my_seed);
-                let mut reads = 0u64;
-                let mut writes = 0u64;
-                for _ in 0..my_trials {
-                    let mut alive = AliveSet::empty();
-                    for i in 0..n as u32 {
-                        if rng.gen::<f64>() < p {
-                            alive.insert(SiteId::new(i));
-                        }
-                    }
-                    if protocol.pick_read_quorum(alive, &mut rng).is_some() {
-                        reads += 1;
-                    }
-                    if protocol.pick_write_quorum(alive, &mut rng).is_some() {
-                        writes += 1;
-                    }
+            (my_trials, my_seed)
+        })
+        .collect();
+    let totals = parallel_map(chunks, |(my_trials, my_seed)| {
+        let mut rng = StdRng::seed_from_u64(my_seed);
+        let mut reads = 0u64;
+        let mut writes = 0u64;
+        for _ in 0..my_trials {
+            let mut alive = AliveSet::empty();
+            for i in 0..n as u32 {
+                if rng.gen::<f64>() < p {
+                    alive.insert(SiteId::new(i));
                 }
-                (reads, writes)
-            }));
+            }
+            if protocol.pick_read_quorum(alive, &mut rng).is_some() {
+                reads += 1;
+            }
+            if protocol.pick_write_quorum(alive, &mut rng).is_some() {
+                writes += 1;
+            }
         }
-        handles
-            .into_iter()
-            // arbitree-lint: allow(D005) — a panicking trial thread must propagate, not be silently dropped
-            .map(|h| h.join().expect("trial thread panicked"))
-            .fold((0u64, 0u64), |(ar, aw), (r, w)| (ar + r, aw + w))
+        (reads, writes)
     })
-    // arbitree-lint: allow(D005) — the traced scope errors only when a child thread panicked
-    .expect("trial scope");
+    .into_iter()
+    .fold((0u64, 0u64), |(ar, aw), (r, w)| (ar + r, aw + w));
 
     (
         totals.0 as f64 / f64::from(trials),
@@ -564,6 +564,37 @@ mod tests {
         let a = empirical_availability(&p, 0.7, 5_000, 9);
         let b = empirical_availability(&p, 0.7, 5_000, 9);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn availability_does_not_depend_on_the_host_core_count() {
+        // Serial reference: eight chunks with the documented seeds, summed
+        // in order. A split taken from the core count diverges from it on
+        // any host with fewer than eight cores.
+        let proto = proto();
+        let (p, trials, seed) = (0.7, 1_001u32, 9u64);
+        let (mut reads, mut writes) = (0u64, 0u64);
+        for t in 0..8u32 {
+            let mut rng = StdRng::seed_from_u64(
+                seed.wrapping_add(u64::from(t))
+                    .wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            );
+            for _ in 0..trials / 8 + u32::from(t < trials % 8) {
+                let mut alive = AliveSet::empty();
+                for i in 0..8u32 {
+                    if rng.gen::<f64>() < p {
+                        alive.insert(SiteId::new(i));
+                    }
+                }
+                reads += u64::from(proto.pick_read_quorum(alive, &mut rng).is_some());
+                writes += u64::from(proto.pick_write_quorum(alive, &mut rng).is_some());
+            }
+        }
+        let want = (
+            reads as f64 / f64::from(trials),
+            writes as f64 / f64::from(trials),
+        );
+        assert_eq!(empirical_availability(&proto, p, trials, seed), want);
     }
 
     #[test]
