@@ -27,10 +27,10 @@ use crate::fault::FaultInjection;
 use crate::history::{History, HistoryEvent, HistoryKind};
 use crate::locks::LockManager;
 use crate::message::{ClientId, Endpoint, Message, ObjectId, OpId, Payload};
+use crate::metrics::SiteCounts;
 use crate::time::SimTime;
 use crate::txn::{
-    in_request_order, ClientState, MigrationPhase, Phase, Reconfig, SimReport, TxnObject,
-    TxnRequest, TxnState,
+    ClientState, MigrationPhase, Phase, Reconfig, SimReport, TxnObject, TxnRequest, TxnState,
 };
 use crate::workload::{ArrivalPacer, ObjectSampler};
 use arbitree_core::{DetMap, DetSet, Timestamp};
@@ -70,6 +70,15 @@ pub struct Coordinator {
     object_sampler: ObjectSampler,
     pacers: Vec<ArrivalPacer>,
     scripted: DetMap<ClientId, VecDeque<(SimTime, TxnRequest)>>,
+    /// Finished transaction records, reused by later transactions with
+    /// their buffers' capacity. Never part of the state: not in `Debug`,
+    /// not in the fingerprint.
+    spare_txns: Vec<TxnState>,
+    /// Scratch for a prepare attempt's write quorums (entry index, quorum),
+    /// all picked before any is stored.
+    picks: Vec<(usize, QuorumSet)>,
+    /// Scratch for the transactions a lock release grants.
+    granted: Vec<OpId>,
 }
 
 impl fmt::Debug for Coordinator {
@@ -110,6 +119,9 @@ impl Coordinator {
                 .map(|_| ArrivalPacer::new(config.arrival_pattern, config.think_time))
                 .collect(),
             scripted: DetMap::new(),
+            spare_txns: Vec::new(),
+            picks: Vec::new(),
+            granted: Vec::new(),
             config,
         }
     }
@@ -331,36 +343,49 @@ impl Coordinator {
         let id_hint = self.next_op;
 
         // Sample 1..=max distinct objects, each op independently read/write.
+        // The entries go straight into the (recycled) record in the order
+        // sampled; `number_requests` then puts the reads before the writes.
         let max_ops = self.config.max_txn_ops.min(self.config.objects);
         let op_count = if max_ops == 1 {
             1
         } else {
             engine.rng.gen_range(1..=max_ops)
         };
-        let mut objects: Vec<ObjectId> = Vec::with_capacity(op_count);
+        let mut txn = self.new_txn(client, engine.now, false);
         let mut tries = 0;
-        while objects.len() < op_count && tries < 16 * op_count {
+        while txn.objects.len() < op_count && tries < 16 * op_count {
             let obj = ObjectId(self.object_sampler.sample(&mut engine.rng));
-            if !objects.contains(&obj) {
-                objects.push(obj);
+            if txn.objects.iter().all(|e| e.obj != obj) {
+                txn.objects.push(TxnObject::new(obj, None));
             }
             tries += 1;
         }
-        let mut req = TxnRequest::default();
-        for obj in objects {
-            if engine.rng.gen::<f64>() < self.config.read_fraction {
-                req.reads.push(obj);
-            } else {
-                let mut v = Vec::with_capacity(12);
-                v.extend_from_slice(&id_hint.to_be_bytes());
-                v.extend_from_slice(&obj.0.to_be_bytes());
-                req.writes.push((obj, Bytes::from(v)));
+        for e in &mut txn.objects {
+            if engine.rng.gen::<f64>() >= self.config.read_fraction {
+                let mut value = [0; 12];
+                value[..8].copy_from_slice(&id_hint.to_be_bytes());
+                value[8..].copy_from_slice(&e.obj.0.to_be_bytes());
+                *e = TxnObject::new(e.obj, Some(Bytes::copy_from_slice(&value)));
             }
         }
-        self.insert_txn(engine, shards, client, req);
+        let id = self.register_txn(txn);
+        self.advance_locks(engine, shards, id);
     }
 
-    /// Registers a transaction's state and starts its lock acquisition.
+    /// A record for a new transaction of `client`: a recycled one if any
+    /// is spare.
+    fn new_txn(&mut self, client: ClientId, started: SimTime, is_migration: bool) -> TxnState {
+        match self.spare_txns.pop() {
+            Some(mut txn) => {
+                txn.reuse(client, started, is_migration);
+                txn
+            }
+            None => TxnState::new(client, started, is_migration),
+        }
+    }
+
+    /// Registers a scripted transaction's state and starts its lock
+    /// acquisition.
     fn insert_txn(
         &mut self,
         engine: &mut Engine,
@@ -368,22 +393,30 @@ impl Coordinator {
         client: ClientId,
         req: TxnRequest,
     ) {
+        let mut txn = self.new_txn(client, engine.now, false);
+        let reads = req.reads.into_iter().map(|obj| TxnObject::new(obj, None));
+        let writes = req
+            .writes
+            .into_iter()
+            .map(|(obj, v)| TxnObject::new(obj, Some(v)));
+        txn.objects.extend(reads.chain(writes));
+        let id = self.register_txn(txn);
+        self.advance_locks(engine, shards, id);
+    }
+
+    /// Plans `txn` (entries in request order) and makes it its client's
+    /// transaction in flight under a fresh id.
+    fn register_txn(&mut self, mut txn: TxnState) -> OpId {
         let id = OpId(self.next_op);
         self.next_op += 1;
-        let reads = req.reads.into_iter().map(|obj| (obj, None));
-        let writes = req.writes.into_iter().map(|(obj, v)| (obj, Some(v)));
-        let mut objects: Vec<TxnObject> = reads
-            .chain(writes)
-            .enumerate()
-            .map(|(pos, (obj, value))| TxnObject::new(obj, pos, value))
-            .collect();
+        txn.number_requests();
         // Lock plan: ascending object order (deadlock freedom). The
-        // objects are distinct, so each has one mode.
-        objects.sort_by_key(|e| e.obj);
-        self.ops
-            .insert(id, TxnState::new(client, engine.now, false, objects));
-        self.clients[client.0 as usize].current_op = Some(id);
-        self.advance_locks(engine, shards, id);
+        // objects are distinct, so an unstable sort orders them the same.
+        txn.objects.sort_unstable_by_key(|e| e.obj);
+        txn.index_request_order();
+        self.clients[txn.client.0 as usize].current_op = Some(id);
+        self.ops.insert(id, txn);
+        id
     }
 
     /// Acquires the next planned lock(s); when all are held, starts the
@@ -418,13 +451,17 @@ impl Coordinator {
         op: OpId,
         objs: impl IntoIterator<Item = ObjectId>,
     ) {
-        let mut granted_all = Vec::new();
+        // Scratch taken for the call: resuming a granted transaction can
+        // end it and release its locks in turn.
+        let mut granted = std::mem::take(&mut self.granted);
         for obj in objs {
-            granted_all.extend(self.locks.release(op, obj));
+            self.locks.release_into(op, obj, &mut granted);
         }
-        for granted in granted_all {
-            self.on_lock_granted(engine, shards, granted);
+        for &waiter in &granted {
+            self.on_lock_granted(engine, shards, waiter);
         }
+        granted.clear();
+        self.granted = granted;
     }
 
     /// Starts (or restarts) the read round at `read_round`: one object in
@@ -526,38 +563,47 @@ impl Coordinator {
             return;
         };
         let client = &mut self.clients[s.client.0 as usize];
-        // Pick every quorum before storing any: a failed pick aborts the
-        // previous attempt's quorums.
-        let picks: Option<Vec<(ObjectId, QuorumSet)>> = in_request_order(&s.objects)
-            .filter(|e| e.is_write())
-            .map(|e| {
-                let protocol = shards.for_key(u64::from(e.obj.0));
-                let q = if s.is_migration {
-                    // Migration writes go to the union of an old-structure
-                    // and a new-structure write quorum so the value is
-                    // visible whichever structure serves later reads.
-                    let old_q = Self::pick_with_reprobe(client, engine, protocol, true)?;
-                    let alive = Self::believed_alive(client, engine);
-                    let new_q = self
-                        .reconfig
-                        .as_ref()?
-                        .target
-                        .pick_write_quorum(alive, &mut engine.rng)?;
-                    QuorumSet::from_sites(old_q.iter().chain(new_q.iter()))
-                } else {
-                    Self::pick_with_reprobe(client, engine, protocol, true)?
-                };
-                Some((e.obj, q))
-            })
-            .collect();
-        let Some(picks) = picks else {
+        let reconfig = &self.reconfig;
+        let mut pick = |e: &TxnObject| {
+            let protocol = shards.for_key(u64::from(e.obj.0));
+            if s.is_migration {
+                // Migration writes go to the union of an old-structure and
+                // a new-structure write quorum so the value is visible
+                // whichever structure serves later reads.
+                let old_q = Self::pick_with_reprobe(client, engine, protocol, true)?;
+                let alive = Self::believed_alive(client, engine);
+                let new_q = reconfig
+                    .as_ref()?
+                    .target
+                    .pick_write_quorum(alive, &mut engine.rng)?;
+                Some(QuorumSet::from_sites(old_q.iter().chain(new_q.iter())))
+            } else {
+                Self::pick_with_reprobe(client, engine, protocol, true)
+            }
+        };
+        // Pick every quorum, in request order, before storing any: a failed
+        // pick aborts the previous attempt's quorums.
+        let picks = &mut self.picks;
+        picks.clear();
+        let picked = s.order.iter().all(|&i| {
+            let e = &s.objects[i];
+            if !e.is_write() {
+                return true;
+            }
+            match pick(e) {
+                Some(q) => {
+                    picks.push((i, q));
+                    true
+                }
+                None => false,
+            }
+        });
+        if !picked {
             self.fail_op(engine, shards, op, AbortCause::NoQuorum);
             return;
-        };
-        for (obj, q) in picks {
-            if let Some(e) = s.object_mut(obj) {
-                e.write_quorum = q;
-            }
+        }
+        for (i, q) in picks.drain(..) {
+            s.objects[i].write_quorum = q;
         }
         Self::send_writes(engine, op, s, Phase::PrepareGather);
         Self::arm_timeout(&self.config, engine, op, s);
@@ -569,7 +615,9 @@ impl Coordinator {
     fn send_writes(engine: &mut Engine, op: OpId, state: &mut TxnState, phase: Phase) {
         state.phase = phase;
         state.pending.clear();
-        for e in in_request_order(&state.objects).filter(|e| e.is_write()) {
+        // Field by field, not `in_request_order()`: `pending` is written.
+        let in_request_order = state.order.iter().map(|&i| &state.objects[i]);
+        for e in in_request_order.filter(|e| e.is_write()) {
             state.pending.add_quorum(e.obj, &e.write_quorum);
             let (obj, value, ts) = (e.obj, e.value.clone(), e.write_ts);
             let payload = if state.phase == Phase::CommitGather {
@@ -610,7 +658,7 @@ impl Coordinator {
         };
         // Staged-but-uncommitted writes must be cleaned up.
         if state.phase == Phase::PrepareGather {
-            for e in in_request_order(&state.objects).filter(|e| e.is_write()) {
+            for e in state.in_request_order().filter(|e| e.is_write()) {
                 let abort = Payload::Abort { op, obj: e.obj };
                 engine.send_to_sites(state.client, &e.write_quorum, abort);
             }
@@ -621,6 +669,7 @@ impl Coordinator {
             // remains fully consistent.
             engine.metrics.aborts_reconfig += 1;
             self.clients[state.client.0 as usize].current_op = None;
+            self.spare_txns.push(state);
             self.reconfig = None;
             self.resume_clients(engine);
             return;
@@ -637,7 +686,7 @@ impl Coordinator {
         // Mutation hook: KeepLocksOnAbort leaks the aborted transaction's
         // strict-2PL locks forever.
         let release = !matches!(self.config.fault, Some(FaultInjection::KeepLocksOnAbort));
-        self.finish_client_txn(engine, shards, &state, op, release);
+        self.finish_client_txn(engine, shards, state, op, release);
     }
 
     /// Completes a transaction successfully: reads then writes, in request
@@ -654,7 +703,7 @@ impl Coordinator {
         let latency = engine.now - state.started;
         engine.metrics.record_latency(latency);
         let unwritten = (Timestamp::ZERO, Bytes::new());
-        for e in in_request_order(&state.objects) {
+        for e in state.in_request_order() {
             let (kind, ts) = if e.is_write() {
                 self.checker
                     .record_write(op, e.obj, e.value.clone(), e.write_ts);
@@ -681,13 +730,13 @@ impl Coordinator {
             }
         }
         engine.metrics.txns_ok += 1;
-        self.finish_client_txn(engine, shards, &state, op, true);
+        self.finish_client_txn(engine, shards, state, op, true);
     }
 
     /// Counts one hit per member of `quorum`.
-    fn count_hits(hits: &mut DetMap<u32, u64>, quorum: &QuorumSet) {
+    fn count_hits(hits: &mut SiteCounts, quorum: &QuorumSet) {
         for s in quorum.iter() {
-            *hits.entry(s.as_u32()).or_insert(0) += 1;
+            hits.increment(s.as_u32());
         }
     }
 
@@ -722,9 +771,13 @@ impl Coordinator {
         engine: &mut Engine,
         shards: &mut ShardMap,
         op: OpId,
-        state: TxnState,
+        mut state: TxnState,
     ) {
-        let Some(e) = state.objects.into_iter().next() else {
+        let started = state.started;
+        // A migration transaction has exactly one entry.
+        let entry = state.objects.pop();
+        self.spare_txns.push(state);
+        let Some(e) = entry else {
             return;
         };
         if !e.is_write() {
@@ -740,7 +793,7 @@ impl Coordinator {
                     op,
                     kind: HistoryKind::Write,
                     obj: e.obj,
-                    invoked: state.started,
+                    invoked: started,
                     responded: engine.now,
                     ts: e.write_ts,
                 });
@@ -758,17 +811,13 @@ impl Coordinator {
 
     /// Registers a one-object migration transaction (it takes no locks).
     fn insert_migration_txn(&mut self, engine: &Engine, entry: TxnObject) -> OpId {
-        let client = self.migration_client();
-        let id = OpId(self.next_op);
-        self.next_op += 1;
-        let state = TxnState::new(client, engine.now, true, vec![entry]);
-        self.ops.insert(id, state);
-        self.clients[client.0 as usize].current_op = Some(id);
-        id
+        let mut txn = self.new_txn(self.migration_client(), engine.now, true);
+        txn.objects.push(entry);
+        self.register_txn(txn)
     }
 
     fn issue_migration_read(&mut self, engine: &mut Engine, shards: &mut ShardMap, obj: ObjectId) {
-        let id = self.insert_migration_txn(engine, TxnObject::new(obj, 0, None));
+        let id = self.insert_migration_txn(engine, TxnObject::new(obj, None));
         self.start_read_round(engine, shards, id);
     }
 
@@ -780,7 +829,7 @@ impl Coordinator {
         value: Bytes,
         ts: Timestamp,
     ) {
-        let mut entry = TxnObject::new(obj, 0, Some(value));
+        let mut entry = TxnObject::new(obj, Some(value));
         entry.write_ts = ts;
         let id = self.insert_migration_txn(engine, entry);
         self.start_prepare_phase(engine, shards, id);
@@ -822,12 +871,13 @@ impl Coordinator {
 
     /// Releases every lock the transaction held or queued for (unless
     /// `release_locks` is off — the `KeepLocksOnAbort` mutation), resumes
-    /// granted waiters, schedules the client's next think-time tick.
+    /// granted waiters, schedules the client's next think-time tick. The
+    /// record goes to the spare list.
     fn finish_client_txn(
         &mut self,
         engine: &mut Engine,
         shards: &mut ShardMap,
-        state: &TxnState,
+        state: TxnState,
         op: OpId,
         release_locks: bool,
     ) {
@@ -836,6 +886,7 @@ impl Coordinator {
         if release_locks {
             self.release_locks(engine, shards, op, state.objects.iter().map(|e| e.obj));
         }
+        self.spare_txns.push(state);
         let jitter: f64 = engine.rng.gen();
         let delay = self.pacers[client.0 as usize].next_delay(jitter);
         engine.schedule(engine.now + delay, Event::ClientTick(client));
@@ -852,9 +903,10 @@ impl Coordinator {
         msg: Message,
     ) {
         // A coalesced reply envelope: handle each inner payload in order
-        // (batches are never nested, so this recurses at most once).
-        if let Payload::Batch(inner) = msg.payload {
-            for payload in inner {
+        // (batches are never nested, so this recurses at most once), then
+        // hand the emptied envelope back to the engine's pool.
+        if let Payload::Batch(mut inner) = msg.payload {
+            for payload in inner.drain(..) {
                 let m = Message {
                     from: msg.from,
                     to: msg.to,
@@ -863,6 +915,7 @@ impl Coordinator {
                 };
                 self.on_client_message(engine, shards, client, m);
             }
+            engine.recycle_envelope(inner);
             return;
         }
         let Endpoint::Site(from) = msg.from else {
@@ -978,7 +1031,8 @@ impl Coordinator {
                     return;
                 }
                 engine.metrics.retries_prepare += 1;
-                let old_quorums: Vec<(ObjectId, QuorumSet)> = in_request_order(&state.objects)
+                let old_quorums: Vec<(ObjectId, QuorumSet)> = state
+                    .in_request_order()
                     .filter(|e| e.is_write())
                     .map(|e| (e.obj, e.write_quorum.clone()))
                     .collect();
@@ -991,12 +1045,11 @@ impl Coordinator {
                 if let Some(state) = self.ops.get_mut(&op) {
                     for (obj, old_q) in old_quorums {
                         let new_q = state.object_mut(obj).map(|e| &e.write_quorum);
-                        let dropped = QuorumSet::from_sites(
-                            old_q
-                                .iter()
-                                .filter(|s| new_q.is_none_or(|nq| !nq.contains(*s))),
-                        );
-                        engine.send_to_sites(client, &dropped, Payload::Abort { op, obj });
+                        for s in old_q.iter() {
+                            if new_q.is_none_or(|nq| !nq.contains(s)) {
+                                engine.send_to_site(client, s, Payload::Abort { op, obj });
+                            }
+                        }
                     }
                 }
             }
@@ -1019,7 +1072,7 @@ impl Coordinator {
                         value: e.value.clone(),
                         ts: e.write_ts,
                     };
-                    engine.send_to_sites(client, &QuorumSet::from_sites([site]), commit);
+                    engine.send_to_site(client, site, commit);
                 }
                 Self::arm_timeout(&self.config, engine, op, state);
             }

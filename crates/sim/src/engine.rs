@@ -41,8 +41,10 @@ pub struct Engine {
     /// Retired per-destination buffers awaiting reuse. Single-payload
     /// destinations hand their (emptied) buffer back at flush time;
     /// coalesced destinations move theirs into the [`Payload::Batch`]
-    /// envelope instead, so the pool refills organically from the common
-    /// case without ever copying a payload.
+    /// envelope instead. A site answers a batch in the same buffer, and the
+    /// coordinator returns it here once it has handled the replies
+    /// ([`Engine::recycle_envelope`]), so no payload is ever copied and an
+    /// envelope is allocated only to replace one lost in the network.
     outbox_pool: Vec<Vec<Payload>>,
     /// How each site last went down ([`CrashMode::Transient`] until a crash
     /// says otherwise) — recovery needs to know what state the site kept.
@@ -204,13 +206,11 @@ impl Engine {
         );
     }
 
-    /// Sends `payload` from `client` to every member of `members` — one
-    /// clone per extra destination, the original moving into the last (the
-    /// payload's `Bytes` values make those clones reference-counted buffer
-    /// shares, not copies). With [`SimConfig::batching`] on, the payloads
-    /// are buffered per destination instead and coalesced into one envelope
-    /// per site when [`Engine::flush_outbox`] runs at the end of the
-    /// current event.
+    /// Sends `payload` from `client` to every member of `members`, in
+    /// ascending site order — one clone per extra destination, the original
+    /// moving into the last (the payload's `Bytes` values make those clones
+    /// inline copies of a short value or shares of a long one's buffer,
+    /// never allocations).
     pub(crate) fn send_to_sites(
         &mut self,
         client: ClientId,
@@ -219,38 +219,37 @@ impl Engine {
     ) {
         let last = members.len().saturating_sub(1);
         let mut payload = Some(payload);
-        if self.batching {
-            for (i, s) in members.iter().enumerate() {
-                let payload = if i == last {
-                    payload.take()
-                } else {
-                    payload.clone()
-                }
-                // arbitree-lint: allow(D005) — `take()` runs only when i == last, so the Option is still occupied
-                .expect("payload moves out exactly once, on the last member");
-                match self
-                    .outbox
-                    .iter_mut()
-                    .find(|(c, dst, _)| *c == client && *dst == s)
-                {
-                    Some((_, _, buffered)) => buffered.push(payload),
-                    None => {
-                        let mut buf = self.outbox_pool.pop().unwrap_or_default();
-                        buf.push(payload);
-                        self.outbox.push((client, s, buf));
-                    }
-                }
+        for (i, s) in members.iter().enumerate() {
+            let payload = if i == last {
+                payload.take()
+            } else {
+                payload.clone()
             }
-        } else {
-            for (i, s) in members.iter().enumerate() {
-                let payload = if i == last {
-                    payload.take()
-                } else {
-                    payload.clone()
-                }
-                // arbitree-lint: allow(D005) — `take()` runs only when i == last, so the Option is still occupied
-                .expect("payload moves out exactly once, on the last member");
-                self.send(Endpoint::Client(client), Endpoint::Site(s), payload);
+            // arbitree-lint: allow(D005) — `take()` runs only when i == last, so the Option is still occupied
+            .expect("payload moves out exactly once, on the last member");
+            self.send_to_site(client, s, payload);
+        }
+    }
+
+    /// Sends `payload` from `client` to `site`. With
+    /// [`SimConfig::batching`] on, it is buffered per destination instead
+    /// and coalesced into one envelope per site when
+    /// [`Engine::flush_outbox`] runs at the end of the current event.
+    pub(crate) fn send_to_site(&mut self, client: ClientId, site: SiteId, payload: Payload) {
+        if !self.batching {
+            self.send(Endpoint::Client(client), Endpoint::Site(site), payload);
+            return;
+        }
+        match self
+            .outbox
+            .iter_mut()
+            .find(|(c, dst, _)| *c == client && *dst == site)
+        {
+            Some((_, _, buffered)) => buffered.push(payload),
+            None => {
+                let mut buf = self.outbox_pool.pop().unwrap_or_default();
+                buf.push(payload);
+                self.outbox.push((client, site, buf));
             }
         }
     }
@@ -286,6 +285,14 @@ impl Engine {
         self.outbox = outbox;
     }
 
+    /// Returns a drained envelope buffer to [`Engine::outbox_pool`]: a
+    /// batch's buffer travels client → site → client and comes back here,
+    /// so the pool stays stocked without allocating.
+    pub(crate) fn recycle_envelope(&mut self, mut payloads: Vec<Payload>) {
+        payloads.clear();
+        self.outbox_pool.push(payloads);
+    }
+
     /// Arms a phase timeout for `op`, tagged with `attempt` so stale
     /// timeouts from earlier phase starts are ignored.
     pub(crate) fn arm_timeout(
@@ -311,7 +318,7 @@ impl Engine {
     /// gate refuses everything (counted as `messages_refused_syncing`). A
     /// [`Payload::Batch`] envelope is unwrapped here — each inner payload
     /// is handled (and counted as a site request) individually, and the
-    /// replies travel back coalesced into one envelope as well.
+    /// replies travel back coalesced into the same envelope.
     ///
     /// Every reply is checked against the site's health *at serve time*:
     /// a reply from a non-`Serving` site counts as a `sync_violations` —
@@ -325,23 +332,34 @@ impl Engine {
         let serving = self.sites[sid.index()].is_serving();
         self.metrics.messages_delivered += 1;
         match msg.payload {
-            Payload::Batch(inner) => {
-                let mut replies = Vec::with_capacity(inner.len());
-                for payload in inner {
+            Payload::Batch(mut replies) => {
+                // Answered in place: each request's slot takes its reply,
+                // and one-way requests drop out.
+                let site = &mut self.sites[sid.index()];
+                replies.retain_mut(|payload| {
                     self.metrics.record_site_request(sid.as_u32());
-                    if let Some((_, reply)) =
-                        self.sites[sid.index()].handle(&payload, &mut self.metrics)
-                    {
-                        replies.push(reply);
+                    match site.handle(payload, &mut self.metrics) {
+                        Some((_, reply)) => {
+                            *payload = reply;
+                            true
+                        }
+                        None => false,
                     }
-                }
+                });
                 if !serving {
                     self.metrics.sync_violations += replies.len() as u64;
                 }
                 let reply = match replies.len() {
-                    0 => return,
-                    // arbitree-lint: allow(D005) — len() == 1 was just matched
-                    1 => replies.pop().expect("one reply"),
+                    0 => {
+                        self.recycle_envelope(replies);
+                        return;
+                    }
+                    1 => {
+                        // arbitree-lint: allow(D005) — len() == 1 was just matched
+                        let reply = replies.pop().expect("one reply");
+                        self.recycle_envelope(replies);
+                        reply
+                    }
                     n => {
                         self.metrics.batches_sent += 1;
                         self.metrics.batched_payloads += n as u64;

@@ -106,7 +106,7 @@ pub use harness::{
 pub use history::{History, HistoryEvent, HistoryKind, HistoryViolation};
 pub use locks::{LockManager, LockMode};
 pub use message::{ClientId, Endpoint, Message, ObjectId, OpId, Payload, RangeVerdict};
-pub use metrics::{LatencyHistogram, SimMetrics};
+pub use metrics::{LatencyHistogram, SimMetrics, SiteCounts};
 pub use nemesis::{build_profile, Nemesis, NemesisAction, NemesisKind};
 pub use network::{Network, Partition};
 pub use recovery::RejoinManager;

@@ -10,6 +10,7 @@
 use crate::message::{ObjectId, OpId};
 use arbitree_core::DetMap;
 use std::collections::VecDeque;
+use std::fmt;
 
 /// Lock mode requested by an operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,9 +38,22 @@ impl LockState {
 
 /// The lock manager: each object with live lock state maps to its holders
 /// and its FIFO wait queue.
-#[derive(Debug, Default)]
+#[derive(Default)]
 pub struct LockManager {
     objects: DetMap<ObjectId, LockState>,
+    /// Emptied lock states, kept with their buffers' capacity for the next
+    /// object to be locked.
+    spare: Vec<LockState>,
+}
+
+/// Prints only the live lock table: the spare pool is an allocation cache,
+/// and the model checker's state fingerprint hashes this text.
+impl fmt::Debug for LockManager {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("LockManager")
+            .field("objects", &self.objects)
+            .finish()
+    }
 }
 
 impl LockManager {
@@ -55,7 +69,11 @@ impl LockManager {
     /// A read request is only granted immediately when nothing is queued
     /// ahead of it, so writers are never starved by a stream of readers.
     pub fn acquire(&mut self, op: OpId, obj: ObjectId, mode: LockMode) -> bool {
-        let state = self.objects.entry(obj).or_default();
+        let spare = &mut self.spare;
+        let state = self
+            .objects
+            .entry(obj)
+            .or_insert_with(|| spare.pop().unwrap_or_default());
         debug_assert!(
             !state.holders.iter().any(|(o, _)| *o == op),
             "operation already holds this lock"
@@ -73,13 +91,20 @@ impl LockManager {
     /// operations whose queued requests are granted as a result, in FIFO
     /// order.
     pub fn release(&mut self, op: OpId, obj: ObjectId) -> Vec<OpId> {
+        let mut granted = Vec::new();
+        self.release_into(op, obj, &mut granted);
+        granted
+    }
+
+    /// [`LockManager::release`], appending the granted operations to
+    /// `granted` instead of returning a new `Vec`.
+    pub fn release_into(&mut self, op: OpId, obj: ObjectId, granted: &mut Vec<OpId>) {
         let Some(state) = self.objects.get_mut(&obj) else {
-            return Vec::new();
+            return;
         };
         state.holders.retain(|(o, _)| *o != op);
         state.queue.retain(|(o, _)| *o != op);
 
-        let mut granted = Vec::new();
         while let Some(&(next_op, next_mode)) = state.queue.front() {
             if state.compatible(next_mode) {
                 state.queue.pop_front();
@@ -93,9 +118,10 @@ impl LockManager {
             }
         }
         if state.holders.is_empty() && state.queue.is_empty() {
-            self.objects.remove(&obj);
+            if let Some(emptied) = self.objects.remove(&obj) {
+                self.spare.push(emptied);
+            }
         }
-        granted
     }
 
     /// Whether `op` currently holds a lock on `obj`.
@@ -178,6 +204,25 @@ mod tests {
         let mut lm = LockManager::new();
         assert!(lm.acquire(OpId(1), ObjectId(0), LockMode::Write));
         assert!(lm.acquire(OpId(2), ObjectId(1), LockMode::Write));
+    }
+
+    #[test]
+    fn recycled_lock_states_do_not_show_in_debug() {
+        let mut lm = LockManager::new();
+        let empty = format!("{lm:?}");
+        assert!(lm.acquire(OpId(1), OBJ, LockMode::Write));
+        assert!(!lm.acquire(OpId(2), OBJ, LockMode::Read));
+        let held = format!("{lm:#?}");
+        assert_eq!(lm.release(OpId(1), OBJ), vec![OpId(2)]);
+        assert!(lm.release(OpId(2), OBJ).is_empty());
+        assert_eq!(lm.spare.len(), 1, "the emptied state went to the pool");
+        assert_eq!(format!("{lm:?}"), empty);
+        // The recycled state (its buffers keep their capacity) prints as a
+        // fresh one did.
+        assert!(lm.acquire(OpId(1), OBJ, LockMode::Write));
+        assert!(!lm.acquire(OpId(2), OBJ, LockMode::Read));
+        assert!(lm.spare.is_empty());
+        assert_eq!(format!("{lm:#?}"), held);
     }
 
     #[test]

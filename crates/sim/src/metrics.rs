@@ -1,8 +1,74 @@
 //! Counters collected during a simulation run.
 
 use crate::time::SimDuration;
-use arbitree_core::DetMap;
 use std::fmt;
+
+/// Per-site counters, indexed by site id: a count is one array access, with
+/// no hashing and no allocation once the busiest-numbered site was seen.
+///
+/// Sites never counted hold no entry. Iteration and `Debug` go in the order
+/// of each site's first count, exactly as the insertion-ordered map these
+/// counters once were printed; equality is by content, like that map's.
+#[derive(Clone, Default)]
+pub struct SiteCounts {
+    /// `counts[site]`; zero for a site never counted.
+    counts: Vec<u64>,
+    /// Every counted site, in the order of its first count.
+    order: Vec<u32>,
+}
+
+impl SiteCounts {
+    /// Adds one to `site`'s count.
+    pub fn increment(&mut self, site: u32) {
+        let i = site as usize;
+        if i >= self.counts.len() {
+            self.counts.resize(i + 1, 0);
+        }
+        if self.counts[i] == 0 {
+            self.order.push(site);
+        }
+        self.counts[i] += 1;
+    }
+
+    /// `site`'s count (zero if never counted).
+    pub fn get(&self, site: u32) -> u64 {
+        self.counts.get(site as usize).copied().unwrap_or(0)
+    }
+
+    /// Number of sites counted at least once.
+    pub fn len(&self) -> usize {
+        self.order.len()
+    }
+
+    /// Whether no site was counted.
+    pub fn is_empty(&self) -> bool {
+        self.order.is_empty()
+    }
+
+    /// `(site, count)` pairs in first-count order.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
+        self.order.iter().map(|&s| (s, self.counts[s as usize]))
+    }
+
+    /// The counts, in first-count order.
+    pub fn values(&self) -> impl Iterator<Item = u64> + '_ {
+        self.iter().map(|(_, n)| n)
+    }
+}
+
+impl PartialEq for SiteCounts {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().all(|(s, n)| other.get(s) == n)
+    }
+}
+
+impl Eq for SiteCounts {}
+
+impl fmt::Debug for SiteCounts {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
 
 /// A log-scale latency histogram: buckets are whole powers of two from
 /// 1 µs, at tiny, fixed memory cost. [`LatencyHistogram::quantile`]
@@ -106,14 +172,14 @@ pub struct SimMetrics {
     /// Transactions aborted.
     pub txns_failed: u64,
     /// Per-site count of protocol requests served (empirical load proxy).
-    pub site_requests: DetMap<u32, u64>,
+    pub site_requests: SiteCounts,
     /// Per-site membership count in *successful read* quorums.
-    pub read_quorum_hits: DetMap<u32, u64>,
+    pub read_quorum_hits: SiteCounts,
     /// Per-site membership count in *successful write* quorums (the write
     /// quorum proper, excluding the version-phase read quorum).
-    pub write_quorum_hits: DetMap<u32, u64>,
+    pub write_quorum_hits: SiteCounts,
     /// Per-site membership count in version-phase read quorums of writes.
-    pub version_quorum_hits: DetMap<u32, u64>,
+    pub version_quorum_hits: SiteCounts,
     /// Batch envelopes sent — network messages that carried two or more
     /// coalesced payloads ([`crate::SimConfig::batching`]).
     pub batches_sent: u64,
@@ -192,7 +258,7 @@ pub struct SimMetrics {
 impl SimMetrics {
     /// Records that `site` served a protocol request.
     pub fn record_site_request(&mut self, site: u32) {
-        *self.site_requests.entry(site).or_insert(0) += 1;
+        self.site_requests.increment(site);
     }
 
     /// Records a completed-operation latency.
@@ -241,7 +307,7 @@ impl SimMetrics {
     /// work: under strategy `w`, the busiest site serves a `L_w(S)`-fraction
     /// of quorum accesses per operation.
     pub fn empirical_max_load(&self, ops: u64) -> Option<f64> {
-        let max = self.site_requests.values().copied().max()?;
+        let max = self.site_requests.values().max()?;
         if ops == 0 {
             return None;
         }
@@ -261,7 +327,7 @@ impl SimMetrics {
     /// Empirical read load: the busiest site's share of successful read
     /// quorums (compare with the closed form `1/d`).
     pub fn empirical_read_load(&self) -> Option<f64> {
-        let max = self.read_quorum_hits.values().copied().max()?;
+        let max = self.read_quorum_hits.values().max()?;
         if self.reads_ok == 0 {
             return None;
         }
@@ -271,7 +337,7 @@ impl SimMetrics {
     /// Empirical write load: the busiest site's share of successful write
     /// quorums (compare with the closed form `1/|K_phy|`).
     pub fn empirical_write_load(&self) -> Option<f64> {
-        let max = self.write_quorum_hits.values().copied().max()?;
+        let max = self.write_quorum_hits.values().max()?;
         if self.writes_ok == 0 {
             return None;
         }
@@ -315,6 +381,46 @@ impl fmt::Display for SimMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use arbitree_core::DetMap;
+    use proptest::prelude::*;
+
+    fn counted(hits: &[u32]) -> (SiteCounts, DetMap<u32, u64>) {
+        let mut counts = SiteCounts::default();
+        let mut map = DetMap::new();
+        for &site in hits {
+            counts.increment(site);
+            *map.entry(site).or_insert(0) += 1;
+        }
+        (counts, map)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `SiteCounts` against the `DetMap<u32, u64>` it replaced: same
+        /// `Debug` text (plain and pretty — pinned transcripts hash the
+        /// pretty one), same counts, and content-based equality, also
+        /// between counters filled in different orders.
+        #[test]
+        fn site_counts_print_and_compare_like_the_det_map_they_replaced(
+            hits in proptest::collection::vec(0u32..40, 0..120),
+            others in proptest::collection::vec(0u32..40, 0..120),
+        ) {
+            let (counts, map) = counted(&hits);
+            prop_assert_eq!(format!("{counts:?}"), format!("{map:?}"));
+            prop_assert_eq!(format!("{counts:#?}"), format!("{map:#?}"));
+            prop_assert_eq!(counts.len(), map.len());
+            prop_assert_eq!(counts.values().max(), map.values().copied().max());
+            prop_assert_eq!(counts.values().sum::<u64>(), map.values().sum::<u64>());
+            for site in 0..41 {
+                prop_assert_eq!(counts.get(site), map.get(&site).copied().unwrap_or(0));
+            }
+            let reversed: Vec<u32> = hits.iter().rev().copied().collect();
+            prop_assert_eq!(&counted(&reversed).0, &counts);
+            let (other_counts, other_map) = counted(&others);
+            prop_assert_eq!(other_counts == counts, other_map == map);
+        }
+    }
 
     #[test]
     fn latency_accounting() {

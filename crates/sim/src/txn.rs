@@ -6,7 +6,9 @@
 //! one per object it touches, plus the acknowledgements and read
 //! responses of the phase in progress. Every phase walks the entries in
 //! place — locks and read rounds in ascending object order (the entries'
-//! order), prepare, commit and completion in request order.
+//! order), prepare, commit and completion in request order (through a
+//! permutation computed once per transaction). A finished record is
+//! recycled for a later transaction with its buffers' capacity intact.
 //!
 //! These types carry no behaviour of their own — the
 //! [`crate::coordinator::Coordinator`] drives them and the
@@ -54,6 +56,9 @@ pub(crate) struct TxnState {
     /// One entry per object, ascending by object: the lock plan and the
     /// read-round order.
     pub(crate) objects: Vec<TxnObject>,
+    /// Request order: `order[pos]` is the index in `objects` of the entry
+    /// at request position `pos`. Derived from the entries' `pos`.
+    pub(crate) order: Vec<usize>,
     /// How many of the entries' locks are held (a migration takes none).
     pub(crate) locks_held: usize,
     /// Index of the first entry of the read round in progress.
@@ -90,9 +95,9 @@ pub(crate) struct TxnObject {
 }
 
 impl TxnObject {
-    /// A fresh entry for `obj` at request position `pos`; `value` is the
-    /// value to write, `None` for a read.
-    pub(crate) fn new(obj: ObjectId, pos: usize, value: Option<Bytes>) -> Self {
+    /// A fresh entry for `obj`; `value` is the value to write, `None` for a
+    /// read. [`TxnState::number_requests`] sets its request position.
+    pub(crate) fn new(obj: ObjectId, value: Option<Bytes>) -> Self {
         TxnObject {
             obj,
             mode: if value.is_some() {
@@ -100,7 +105,7 @@ impl TxnObject {
             } else {
                 LockMode::Read
             },
-            pos,
+            pos: 0,
             best: None,
             read_quorum: QuorumSet::new(),
             value: value.unwrap_or_default(),
@@ -115,28 +120,76 @@ impl TxnObject {
 }
 
 impl TxnState {
-    /// A fresh transaction record in the lock-wait phase; `objects` must
-    /// be ascending by object.
-    pub(crate) fn new(
-        client: ClientId,
-        started: SimTime,
-        is_migration: bool,
-        objects: Vec<TxnObject>,
-    ) -> Self {
-        debug_assert!(objects.windows(2).all(|w| w[0].obj < w[1].obj));
+    /// A fresh transaction record in the lock-wait phase, with no entries
+    /// yet: push them in the order requested, then number them
+    /// ([`TxnState::number_requests`]), sort them by object and index the
+    /// request order ([`TxnState::index_request_order`]).
+    pub(crate) fn new(client: ClientId, started: SimTime, is_migration: bool) -> Self {
         TxnState {
             client,
             phase: Phase::LockWait,
             started,
             phase_counter: 0,
             attempts: 0,
-            objects,
+            objects: Vec::new(),
+            order: Vec::new(),
             locks_held: 0,
             read_round: 0,
             pending: AckSet::default(),
             responses: Vec::new(),
             is_migration,
         }
+    }
+
+    /// Readies a finished record for a new transaction: every field as
+    /// [`TxnState::new`] sets it, the buffers emptied but keeping their
+    /// capacity.
+    pub(crate) fn reuse(&mut self, client: ClientId, started: SimTime, is_migration: bool) {
+        let mut objects = std::mem::take(&mut self.objects);
+        let mut order = std::mem::take(&mut self.order);
+        let mut pending = std::mem::take(&mut self.pending);
+        let mut responses = std::mem::take(&mut self.responses);
+        objects.clear();
+        order.clear();
+        pending.clear();
+        responses.clear();
+        *self = TxnState {
+            objects,
+            order,
+            pending,
+            responses,
+            ..TxnState::new(client, started, is_migration)
+        };
+    }
+
+    /// Numbers the entries' request positions once they are all in, in
+    /// the order requested: the reads first, then the writes, each in the
+    /// order requested.
+    pub(crate) fn number_requests(&mut self) {
+        let mut read = 0;
+        let mut write = self.objects.iter().filter(|e| !e.is_write()).count();
+        for e in &mut self.objects {
+            let next = if e.is_write() { &mut write } else { &mut read };
+            e.pos = *next;
+            *next += 1;
+        }
+    }
+
+    /// Records the request-order permutation of the numbered entries, now
+    /// in lock-plan order.
+    pub(crate) fn index_request_order(&mut self) {
+        debug_assert!(self.objects.windows(2).all(|w| w[0].obj < w[1].obj));
+        self.order.clear();
+        self.order.resize(self.objects.len(), 0);
+        for (i, e) in self.objects.iter().enumerate() {
+            self.order[e.pos] = i;
+        }
+    }
+
+    /// The entries in request order: the reads, then the writes, each in
+    /// the order requested.
+    pub(crate) fn in_request_order(&self) -> impl Iterator<Item = &TxnObject> {
+        self.order.iter().map(|&i| &self.objects[i])
     }
 
     /// The entries of the read round starting at `read_round`: that one
@@ -155,12 +208,6 @@ impl TxnState {
         let i = self.objects.binary_search_by_key(&obj, |e| e.obj).ok()?;
         self.objects.get_mut(i)
     }
-}
-
-/// The entries in request order: the reads, then the writes, each in the
-/// order requested.
-pub(crate) fn in_request_order(objects: &[TxnObject]) -> impl Iterator<Item = &TxnObject> {
-    (0..objects.len()).filter_map(move |pos| objects.iter().find(|e| e.pos == pos))
 }
 
 /// Outstanding acknowledgements of one phase: per object, the bitmask of
@@ -387,6 +434,49 @@ mod tests {
             acks_set.clear();
             prop_assert!(acks_set.is_empty());
             prop_assert_eq!(format!("{acks_set:?}"), "{}");
+        }
+
+        /// The indexed request order walks the entries exactly as the scan
+        /// it replaced (for each request position, the entry holding it),
+        /// and a reused record plans and prints like a fresh one.
+        #[test]
+        fn planned_request_order_matches_a_position_scan(
+            requested in proptest::collection::vec((0u32..64, any::<bool>()), 1..17),
+            earlier in proptest::collection::vec((0u32..64, any::<bool>()), 1..17),
+        ) {
+            let fill = |txn: &mut TxnState, entries: &[(u32, bool)]| {
+                let mut seen = DetSet::new();
+                for &(obj, write) in entries {
+                    if seen.insert(obj) {
+                        let value = write.then(|| Bytes::copy_from_slice(&obj.to_be_bytes()));
+                        txn.objects.push(TxnObject::new(ObjectId(obj), value));
+                    }
+                }
+                txn.number_requests();
+                txn.objects.sort_unstable_by_key(|e| e.obj);
+                txn.index_request_order();
+            };
+            let mut fresh = TxnState::new(ClientId(1), SimTime::ZERO, false);
+            fill(&mut fresh, &requested);
+            let scanned: Vec<ObjectId> = (0..fresh.objects.len())
+                .filter_map(|pos| fresh.objects.iter().find(|e| e.pos == pos))
+                .map(|e| e.obj)
+                .collect();
+            let planned: Vec<ObjectId> = fresh.in_request_order().map(|e| e.obj).collect();
+            prop_assert_eq!(&planned, &scanned);
+            // The reads come first.
+            let mut tail = fresh.in_request_order().skip_while(|e| !e.is_write());
+            prop_assert!(tail.all(TxnObject::is_write));
+
+            let mut reused = TxnState::new(ClientId(2), SimTime::from_micros(9), true);
+            fill(&mut reused, &earlier);
+            reused.phase = Phase::CommitGather;
+            reused.attempts = 3;
+            reused.pending.add_quorum(ObjectId(1), &QuorumSet::from_indices([1, 2]));
+            reused.responses.push((ObjectId(1), SiteId::new(1), Timestamp::ZERO));
+            reused.reuse(ClientId(1), SimTime::ZERO, false);
+            fill(&mut reused, &requested);
+            prop_assert_eq!(format!("{reused:?}"), format!("{fresh:?}"));
         }
     }
 }
