@@ -262,7 +262,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut alive = AliveSet::full(6);
         alive.remove(SiteId::new(0)); // (0,0)
-        let q = g.pick_read_quorum(alive, &mut rng).unwrap();
+        let q = g.pick_read_quorum(alive.clone(), &mut rng).unwrap();
         assert!(q.contains(SiteId::new(3))); // (1,0) forced
         alive.remove(SiteId::new(3)); // kill whole column 0
         assert!(g.pick_read_quorum(alive, &mut rng).is_none());
@@ -276,7 +276,7 @@ mod tests {
         // Kill (0,0) and (1,1): no column fully alive.
         alive.remove(SiteId::new(0));
         alive.remove(SiteId::new(3));
-        assert!(g.pick_write_quorum(alive, &mut rng).is_none());
+        assert!(g.pick_write_quorum(alive.clone(), &mut rng).is_none());
         // Restore (0,0): column 0 = {0,2} alive again.
         alive.insert(SiteId::new(0));
         let q = g.pick_write_quorum(alive, &mut rng).unwrap();
@@ -292,8 +292,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let alive = AliveSet::full(4);
         for _ in 0..30 {
-            assert!(reads.contains(&g.pick_read_quorum(alive, &mut rng).unwrap()));
-            assert!(writes.contains(&g.pick_write_quorum(alive, &mut rng).unwrap()));
+            assert!(reads.contains(&g.pick_read_quorum(alive.clone(), &mut rng).unwrap()));
+            assert!(writes.contains(&g.pick_write_quorum(alive.clone(), &mut rng).unwrap()));
         }
     }
 

@@ -103,7 +103,7 @@ impl ReplicaControl for Maekawa {
         // Uniform among the fully-alive crosses.
         let live: Vec<QuorumSet> = self
             .read_quorums()
-            .filter(|q| q.to_alive_set().is_subset_of(alive))
+            .filter(|q| q.is_subset_of(&alive))
             .collect();
         if live.is_empty() {
             return None;
@@ -204,7 +204,7 @@ mod tests {
         alive.remove(SiteId::new(0));
         // Crosses not containing site 0: only (1,1)'s cross {1,2,3}... wait
         // (1,1) cross = row 1 {2,3} ∪ col 1 {1,3} = {1,2,3}.
-        let q = m.pick_read_quorum(alive, &mut rng).unwrap();
+        let q = m.pick_read_quorum(alive.clone(), &mut rng).unwrap();
         assert_eq!(q, QuorumSet::from_indices([1, 2, 3]));
         alive.remove(SiteId::new(3));
         assert!(m.pick_read_quorum(alive, &mut rng).is_none());

@@ -174,9 +174,9 @@ mod tests {
         alive.remove(SiteId::new(1));
         alive.remove(SiteId::new(2));
         // 4 alive >= 4 threshold.
-        let q = m.pick_read_quorum(alive, &mut rng).unwrap();
+        let q = m.pick_read_quorum(alive.clone(), &mut rng).unwrap();
         assert_eq!(q.len(), 4);
-        assert!(q.to_alive_set().is_subset_of(alive));
+        assert!(q.is_subset_of(&alive));
         alive.remove(SiteId::new(3));
         assert!(m.pick_read_quorum(alive, &mut rng).is_none());
     }
@@ -189,7 +189,7 @@ mod tests {
         let alive = AliveSet::full(5);
         let mut seen = [false; 5];
         for _ in 0..100 {
-            for s in m.pick_write_quorum(alive, &mut rng).unwrap().iter() {
+            for s in m.pick_write_quorum(alive.clone(), &mut rng).unwrap().iter() {
                 seen[s.index()] = true;
             }
         }

@@ -139,13 +139,13 @@ mod tests {
         let r = Rowa::new(3);
         let mut rng = StdRng::seed_from_u64(1);
         let mut alive = AliveSet::full(3);
-        assert!(r.pick_write_quorum(alive, &mut rng).is_some());
+        assert!(r.pick_write_quorum(alive.clone(), &mut rng).is_some());
         alive.remove(SiteId::new(1));
         // One crash blocks writes but not reads.
-        assert!(r.pick_write_quorum(alive, &mut rng).is_none());
+        assert!(r.pick_write_quorum(alive.clone(), &mut rng).is_none());
         let q = r.pick_read_quorum(alive, &mut rng).unwrap();
         assert!(!q.contains(SiteId::new(1)));
-        assert!(r.pick_read_quorum(AliveSet::empty(), &mut rng).is_none());
+        assert!(r.pick_read_quorum(AliveSet::new(), &mut rng).is_none());
     }
 
     #[test]

@@ -116,7 +116,7 @@ impl TreeQuorum {
         &self,
         node: u32,
         k: usize,
-        alive: AliveSet,
+        alive: &AliveSet,
         rng: &mut dyn RngCore,
         out: &mut Vec<SiteId>,
     ) -> bool {
@@ -197,7 +197,7 @@ impl ReplicaControl for TreeQuorum {
 
     fn pick_read_quorum(&self, alive: AliveSet, rng: &mut dyn RngCore) -> Option<QuorumSet> {
         let mut members = Vec::new();
-        if self.collect_live(0, self.height, alive, rng, &mut members) {
+        if self.collect_live(0, self.height, &alive, rng, &mut members) {
             Some(QuorumSet::from_sites(members))
         } else {
             None
@@ -318,7 +318,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let alive = AliveSet::full(15);
         for _ in 0..20 {
-            let q = tq.pick_read_quorum(alive, &mut rng).unwrap();
+            let q = tq.pick_read_quorum(alive.clone(), &mut rng).unwrap();
             // All-alive: the greedy construction always finds a pure path.
             assert_eq!(q.len(), 4);
             assert!(q.contains(SiteId::new(0)));
@@ -349,8 +349,8 @@ mod tests {
                     alive.remove(SiteId::new(b));
                 }
             }
-            if let Some(q) = tq.pick_read_quorum(alive, &mut rng) {
-                assert!(q.to_alive_set().is_subset_of(alive));
+            if let Some(q) = tq.pick_read_quorum(alive.clone(), &mut rng) {
+                assert!(q.is_subset_of(&alive));
                 assert!(all.contains(&q), "{q} is not an enumerated quorum");
             }
         }

@@ -187,7 +187,7 @@ impl WeightedVoting {
         (self.read_threshold, self.write_threshold)
     }
 
-    fn alive_votes(&self, alive: AliveSet) -> u32 {
+    fn alive_votes(&self, alive: &AliveSet) -> u32 {
         self.votes
             .iter()
             .enumerate()
@@ -199,7 +199,7 @@ impl WeightedVoting {
     /// Picks a minimal-ish quorum reaching `threshold` among alive sites:
     /// random order, greedy accumulation, then prune members that became
     /// redundant.
-    fn pick(&self, threshold: u32, alive: AliveSet, rng: &mut dyn RngCore) -> Option<QuorumSet> {
+    fn pick(&self, threshold: u32, alive: &AliveSet, rng: &mut dyn RngCore) -> Option<QuorumSet> {
         if self.alive_votes(alive) < threshold {
             return None;
         }
@@ -315,11 +315,11 @@ impl ReplicaControl for WeightedVoting {
     }
 
     fn pick_read_quorum(&self, alive: AliveSet, rng: &mut dyn RngCore) -> Option<QuorumSet> {
-        self.pick(self.read_threshold, alive, rng)
+        self.pick(self.read_threshold, &alive, rng)
     }
 
     fn pick_write_quorum(&self, alive: AliveSet, rng: &mut dyn RngCore) -> Option<QuorumSet> {
-        self.pick(self.write_threshold, alive, rng)
+        self.pick(self.write_threshold, &alive, rng)
     }
 
     fn read_cost(&self) -> CostProfile {
@@ -450,7 +450,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let mut alive = AliveSet::full(5);
         alive.remove(SiteId::new(0)); // lose the strong site: 4 votes remain
-        let q = wv.pick_read_quorum(alive, &mut rng).unwrap();
+        let q = wv.pick_read_quorum(alive.clone(), &mut rng).unwrap();
         assert_eq!(q.len(), 4);
         alive.remove(SiteId::new(1)); // 3 votes < 4
         assert!(wv.pick_read_quorum(alive, &mut rng).is_none());
@@ -462,7 +462,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let alive = AliveSet::full(5);
         for _ in 0..50 {
-            let q = wv.pick_write_quorum(alive, &mut rng).unwrap();
+            let q = wv.pick_write_quorum(alive.clone(), &mut rng).unwrap();
             let sum: u32 = q.iter().map(|s| wv.votes()[s.index()]).sum();
             assert!(sum >= 4);
             for member in q.iter() {

@@ -182,7 +182,9 @@ fn strategy_ablation() {
     // Uniform (the paper's strategy, via the protocol).
     let mut uniform_hits = vec![0u64; n];
     for _ in 0..samples {
-        let q = proto.pick_read_quorum(alive, &mut rng).expect("alive");
+        let q = proto
+            .pick_read_quorum(alive.clone(), &mut rng)
+            .expect("alive");
         for s in q.iter() {
             uniform_hits[s.index()] += 1;
         }

@@ -23,8 +23,7 @@
 //!   7, 31 and 127 sites × read fractions {0.1, 0.5, 0.9}: every layer
 //!   (queue, slab, outbox pooling, copy-free payload fan-out) in one
 //!   number. Events are counted by a wrapping scheduler, so the figure is
-//!   exact, not estimated. (1023 logical sites exceeds the 128-site
-//!   `AliveSet`; the queue tier covers that size.) The tier also prices
+//!   exact, not estimated. The tier also prices
 //!   the model checker's per-state work on one mid-run `1-3-5` state:
 //!   ns per call of each fingerprint width, and the wall time of a
 //!   `ReplayScheduler` run over the seeded run whose schedule it replays.

@@ -124,19 +124,19 @@ proptest! {
             }
         }
         let mut rng = StdRng::seed_from_u64(seed);
-        if let Some(q) = proto.pick_read_quorum(alive, &mut rng) {
-            prop_assert!(q.to_alive_set().is_subset_of(alive));
+        if let Some(q) = proto.pick_read_quorum(alive.clone(), &mut rng) {
+            prop_assert!(q.is_subset_of(&alive));
             prop_assert_eq!(q.len(), t.physical_level_count());
         }
-        if let Some(q) = proto.pick_write_quorum(alive, &mut rng) {
-            prop_assert!(q.to_alive_set().is_subset_of(alive));
+        if let Some(q) = proto.pick_write_quorum(alive.clone(), &mut rng) {
+            prop_assert!(q.is_subset_of(&alive));
             // A write quorum is exactly one full level.
             let lvl = t.site_level(q.iter().next().unwrap());
             prop_assert_eq!(q.len(), t.level_physical(lvl));
         }
         // When all sites are alive, picks always succeed.
         let full = AliveSet::full(t.replica_count());
-        prop_assert!(proto.pick_read_quorum(full, &mut rng).is_some());
+        prop_assert!(proto.pick_read_quorum(full.clone(), &mut rng).is_some());
         prop_assert!(proto.pick_write_quorum(full, &mut rng).is_some());
     }
 

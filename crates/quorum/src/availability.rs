@@ -11,7 +11,7 @@
 //! Protocol crates additionally implement their closed forms directly (e.g.
 //! the paper's `∏_k (1 − (1−p)^{m_phy_k})`), which these evaluators validate.
 
-use crate::quorum_set::AliveSet;
+use crate::quorum_set::{AliveSet, QuorumSet};
 use crate::system::SetSystem;
 use rand::Rng;
 
@@ -22,11 +22,19 @@ pub const EXACT_AVAILABILITY_MAX_SITES: usize = 20;
 ///
 /// This is the *feasibility* predicate: an operation using this quorum system
 /// can terminate iff this holds.
-pub fn has_live_quorum(system: &SetSystem, alive: AliveSet) -> bool {
-    system
-        .sets()
-        .iter()
-        .any(|s| s.to_alive_set().is_subset_of(alive))
+pub fn has_live_quorum(system: &SetSystem, alive: &AliveSet) -> bool {
+    system.sets().iter().any(|s| s.is_subset_of(alive))
+}
+
+/// `set`'s members as a `u128` mask, the form the exhaustive analyses
+/// enumerate (their site caps keep every index below 128).
+pub(crate) fn site_mask(set: &QuorumSet) -> u128 {
+    set.iter().fold(0, |mask, s| mask | 1 << s.index())
+}
+
+/// The sites whose bits are set in `mask`.
+pub(crate) fn mask_sites(mask: u128) -> QuorumSet {
+    QuorumSet::from_indices((0..128).filter(|i| mask >> i & 1 == 1))
 }
 
 /// Exact availability by enumerating all `2^n` alive subsets.
@@ -43,11 +51,7 @@ pub fn exact_availability(system: &SetSystem, p: f64) -> f64 {
     );
     assert!((0.0..=1.0).contains(&p), "p must be a probability");
 
-    let masks: Vec<u128> = system
-        .sets()
-        .iter()
-        .map(|s| s.to_alive_set().bits())
-        .collect();
+    let masks: Vec<u128> = system.sets().iter().map(site_mask).collect();
     let mut total = 0.0;
     for subset in 0u64..(1u64 << n) {
         let alive = subset as u128;
@@ -74,21 +78,14 @@ pub fn monte_carlo_availability<R: Rng + ?Sized>(
 ) -> f64 {
     assert!(samples > 0, "need at least one sample");
     assert!((0.0..=1.0).contains(&p), "p must be a probability");
-    let n = system.universe().len();
-    let masks: Vec<u128> = system
-        .sets()
-        .iter()
-        .map(|s| s.to_alive_set().bits())
-        .collect();
     let mut hits = 0u32;
     for _ in 0..samples {
-        let mut alive = 0u128;
-        for i in 0..n {
-            if rng.gen::<f64>() < p {
-                alive |= 1u128 << i;
-            }
-        }
-        if masks.iter().any(|&m| m & !alive == 0) {
+        let alive: AliveSet = system
+            .universe()
+            .sites()
+            .filter(|_| rng.gen::<f64>() < p)
+            .collect();
+        if has_live_quorum(system, &alive) {
             hits += 1;
         }
     }
@@ -184,11 +181,11 @@ mod tests {
     fn live_quorum_predicate() {
         let s = majority3();
         let mut alive = AliveSet::full(3);
-        assert!(has_live_quorum(&s, alive));
+        assert!(has_live_quorum(&s, &alive));
         alive.remove(SiteId::new(0));
-        assert!(has_live_quorum(&s, alive)); // {1,2} still alive
+        assert!(has_live_quorum(&s, &alive)); // {1,2} still alive
         alive.remove(SiteId::new(1));
-        assert!(!has_live_quorum(&s, alive));
+        assert!(!has_live_quorum(&s, &alive));
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! The crate provides:
 //!
 //! * [`SiteId`] / [`Universe`] — replicas and the finite universe `U`;
-//! * [`QuorumSet`] / [`AliveSet`] — subsets of `U` (sorted-vector and bitset
-//!   forms);
+//! * [`QuorumSet`] (alias [`AliveSet`]) — subsets of `U` as one bitset;
 //! * [`SetSystem`] / [`Bicoterie`] — definitions 2.1–2.3 with validation
 //!   (intersection property, coterie minimality, read/write cross
 //!   intersection);

@@ -149,11 +149,11 @@ mod tests {
         }
         fn pick_read_quorum(&self, alive: AliveSet, rng: &mut dyn RngCore) -> Option<QuorumSet> {
             let singles: Vec<QuorumSet> = self.read_quorums().collect();
-            pick_uniform_alive(&singles, alive, rng)
+            pick_uniform_alive(&singles, &alive, rng)
         }
         fn pick_write_quorum(&self, alive: AliveSet, rng: &mut dyn RngCore) -> Option<QuorumSet> {
             let all: Vec<QuorumSet> = self.write_quorums().collect();
-            pick_uniform_alive(&all, alive, rng)
+            pick_uniform_alive(&all, &alive, rng)
         }
         fn read_cost(&self) -> CostProfile {
             CostProfile::flat(1.0)

@@ -190,12 +190,12 @@ impl<P: ReplicaControl + ?Sized> ReplicaControl for Box<P> {
 /// modest (write quorums, baselines on small `n`).
 pub fn pick_uniform_alive(
     candidates: &[QuorumSet],
-    alive: AliveSet,
+    alive: &AliveSet,
     rng: &mut dyn RngCore,
 ) -> Option<QuorumSet> {
     let live: Vec<&QuorumSet> = candidates
         .iter()
-        .filter(|q| q.to_alive_set().is_subset_of(alive))
+        .filter(|q| q.is_subset_of(alive))
         .collect();
     if live.is_empty() {
         return None;
@@ -247,11 +247,11 @@ mod tests {
             QuorumSet::from_indices([2, 3]),
         ];
         let mut rng = StdRng::seed_from_u64(3);
-        let alive = AliveSet::from_bits(0b1100); // only 2,3 alive
-        let picked = pick_uniform_alive(&candidates, alive, &mut rng).unwrap();
+        let alive = AliveSet::from_indices([2, 3]);
+        let picked = pick_uniform_alive(&candidates, &alive, &mut rng).unwrap();
         assert_eq!(picked, QuorumSet::from_indices([2, 3]));
         // Nothing alive → None.
-        assert!(pick_uniform_alive(&candidates, AliveSet::empty(), &mut rng).is_none());
+        assert!(pick_uniform_alive(&candidates, &AliveSet::new(), &mut rng).is_none());
     }
 
     #[test]
@@ -261,7 +261,7 @@ mod tests {
         let alive = AliveSet::full(2);
         let mut seen = [false; 2];
         for _ in 0..64 {
-            let q = pick_uniform_alive(&candidates, alive, &mut rng).unwrap();
+            let q = pick_uniform_alive(&candidates, &alive, &mut rng).unwrap();
             seen[q.iter().next().unwrap().index()] = true;
         }
         assert_eq!(seen, [true, true]);

@@ -2,7 +2,7 @@
 
 use arbitree_quorum::{
     certifies_lower_bound, exact_availability, monte_carlo_availability, optimal_load,
-    uniform_load, AliveSet, QuorumSet, SetSystem, SiteId, Strategy, Universe,
+    uniform_load, QuorumSet, SetSystem, SiteId, Strategy, Universe,
 };
 use proptest::prelude::*;
 use proptest::strategy::Strategy as PropStrategy;
@@ -105,41 +105,6 @@ proptest! {
         let w = Strategy::uniform(&s);
         let lhs: f64 = s.universe().sites().map(|i| w.site_load(&s, i)).sum();
         prop_assert!((lhs - w.expected_cost(&s)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn alive_set_quorum_roundtrip(indices in proptest::collection::vec(0u32..128, 0..20)) {
-        let q = QuorumSet::from_indices(indices);
-        prop_assert_eq!(q.to_alive_set().to_quorum_set(), q);
-    }
-
-    #[test]
-    fn alive_set_len_matches_members(bits in any::<u128>()) {
-        let a = AliveSet::from_bits(bits);
-        prop_assert_eq!(a.iter().count(), a.len());
-        for s in a.iter() {
-            prop_assert!(a.contains(s));
-        }
-    }
-
-    #[test]
-    fn intersects_agrees_with_bitset(xs in proptest::collection::vec(0u32..64, 0..10),
-                                     ys in proptest::collection::vec(0u32..64, 0..10)) {
-        let a = QuorumSet::from_indices(xs);
-        let b = QuorumSet::from_indices(ys);
-        let via_bits = !a.to_alive_set().intersection(b.to_alive_set()).is_empty();
-        prop_assert_eq!(a.intersects(&b), via_bits);
-    }
-
-    #[test]
-    fn subset_agrees_with_bitset(xs in proptest::collection::vec(0u32..32, 0..8),
-                                 ys in proptest::collection::vec(0u32..32, 0..8)) {
-        let a = QuorumSet::from_indices(xs);
-        let b = QuorumSet::from_indices(ys);
-        prop_assert_eq!(
-            a.is_subset_of(&b),
-            a.to_alive_set().is_subset_of(b.to_alive_set())
-        );
     }
 }
 

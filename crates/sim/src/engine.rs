@@ -152,7 +152,7 @@ impl Engine {
 
     /// The sites currently serving quorum traffic (up and not mid-rejoin).
     pub fn serving_sites(&self) -> AliveSet {
-        let mut alive = AliveSet::empty();
+        let mut alive = AliveSet::new();
         for s in &self.sites {
             if s.is_serving() {
                 alive.insert(s.id());
@@ -164,7 +164,7 @@ impl Engine {
     /// The sites currently mid-rejoin (`Syncing`): up, reachable, but
     /// refusing quorum traffic — the coordinator routes around them.
     pub fn syncing_sites(&self) -> AliveSet {
-        let mut syncing = AliveSet::empty();
+        let mut syncing = AliveSet::new();
         for s in &self.sites {
             if s.health() == SiteHealth::Syncing {
                 syncing.insert(s.id());

@@ -34,8 +34,7 @@ const AVAILABILITY_CHUNKS: u32 = 8;
 ///
 /// # Panics
 ///
-/// Panics if `p` is not a probability, `trials == 0`, or the universe
-/// exceeds 128 sites.
+/// Panics if `p` is not a probability or `trials == 0`.
 pub fn empirical_availability<P: ReplicaControl + Sync + ?Sized>(
     protocol: &P,
     p: f64,
@@ -45,7 +44,6 @@ pub fn empirical_availability<P: ReplicaControl + Sync + ?Sized>(
     assert!((0.0..=1.0).contains(&p), "p must be a probability");
     assert!(trials > 0, "need at least one trial");
     let n = protocol.universe().len();
-    assert!(n <= AliveSet::MAX_SITES);
 
     let chunks: Vec<(u32, u64)> = (0..AVAILABILITY_CHUNKS)
         .map(|t| {
@@ -62,13 +60,13 @@ pub fn empirical_availability<P: ReplicaControl + Sync + ?Sized>(
         let mut reads = 0u64;
         let mut writes = 0u64;
         for _ in 0..my_trials {
-            let mut alive = AliveSet::empty();
+            let mut alive = AliveSet::new();
             for i in 0..n as u32 {
                 if rng.gen::<f64>() < p {
                     alive.insert(SiteId::new(i));
                 }
             }
-            if protocol.pick_read_quorum(alive, &mut rng).is_some() {
+            if protocol.pick_read_quorum(alive.clone(), &mut rng).is_some() {
                 reads += 1;
             }
             if protocol.pick_write_quorum(alive, &mut rng).is_some() {
@@ -103,14 +101,14 @@ pub fn empirical_load<P: ReplicaControl + ?Sized>(
     let mut write_hits = vec![0u64; n];
     for _ in 0..samples {
         let rq = protocol
-            .pick_read_quorum(alive, &mut rng)
+            .pick_read_quorum(alive.clone(), &mut rng)
             // arbitree-lint: allow(D005) — with every site alive the canonical strategy always finds a read quorum
             .expect("all sites alive");
         for s in rq.iter() {
             read_hits[s.index()] += 1;
         }
         let wq = protocol
-            .pick_write_quorum(alive, &mut rng)
+            .pick_write_quorum(alive.clone(), &mut rng)
             // arbitree-lint: allow(D005) — with every site alive the canonical strategy always finds a write quorum
             .expect("all sites alive");
         for s in wq.iter() {
@@ -139,12 +137,12 @@ pub fn empirical_cost<P: ReplicaControl + ?Sized>(
     let mut write_total = 0u64;
     for _ in 0..samples {
         read_total += protocol
-            .pick_read_quorum(alive, &mut rng)
+            .pick_read_quorum(alive.clone(), &mut rng)
             // arbitree-lint: allow(D005) — with every site alive the canonical strategy always finds a read quorum
             .expect("all sites alive")
             .len() as u64;
         write_total += protocol
-            .pick_write_quorum(alive, &mut rng)
+            .pick_write_quorum(alive.clone(), &mut rng)
             // arbitree-lint: allow(D005) — with every site alive the canonical strategy always finds a write quorum
             .expect("all sites alive")
             .len() as u64;
@@ -173,13 +171,13 @@ pub fn empirical_cost_under_failures<P: ReplicaControl + ?Sized>(
     let (mut rt, mut rc) = (0u64, 0u64);
     let (mut wt, mut wc) = (0u64, 0u64);
     for _ in 0..trials {
-        let mut alive = AliveSet::empty();
+        let mut alive = AliveSet::new();
         for i in 0..n as u32 {
             if rng.gen::<f64>() < p {
                 alive.insert(SiteId::new(i));
             }
         }
-        if let Some(q) = protocol.pick_read_quorum(alive, &mut rng) {
+        if let Some(q) = protocol.pick_read_quorum(alive.clone(), &mut rng) {
             rt += q.len() as u64;
             rc += 1;
         }
@@ -580,13 +578,13 @@ mod tests {
                     .wrapping_mul(0x9E37_79B9_7F4A_7C15),
             );
             for _ in 0..trials / 8 + u32::from(t < trials % 8) {
-                let mut alive = AliveSet::empty();
+                let mut alive = AliveSet::new();
                 for i in 0..8u32 {
                     if rng.gen::<f64>() < p {
                         alive.insert(SiteId::new(i));
                     }
                 }
-                reads += u64::from(proto.pick_read_quorum(alive, &mut rng).is_some());
+                reads += u64::from(proto.pick_read_quorum(alive.clone(), &mut rng).is_some());
                 writes += u64::from(proto.pick_write_quorum(alive, &mut rng).is_some());
             }
         }

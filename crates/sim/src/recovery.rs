@@ -162,7 +162,9 @@ impl RejoinManager {
         alive.remove(site);
         let mut sources: DetSet<SiteId> = DetSet::default();
         for shard in 0..shards.shard_count() {
-            let quorum = shards.get(shard).pick_read_quorum(alive, &mut engine.rng)?;
+            let quorum = shards
+                .get(shard)
+                .pick_read_quorum(alive.clone(), &mut engine.rng)?;
             for s in quorum.iter() {
                 sources.insert(s);
             }

@@ -34,7 +34,7 @@ use crate::recovery::RejoinManager;
 use crate::site::{CrashMode, Site, SiteHealth};
 use crate::time::SimTime;
 use crate::txn::{SimReport, TxnRequest};
-use arbitree_quorum::{AliveSet, ReplicaControl, ShardMap, SiteId};
+use arbitree_quorum::{ReplicaControl, ShardMap, SiteId};
 use std::fmt;
 
 /// The simulation: construct, optionally inject failures, then [`run`].
@@ -62,8 +62,7 @@ impl Simulation {
     ///
     /// # Panics
     ///
-    /// Panics if the config is invalid or the protocol's universe exceeds
-    /// 128 sites (the [`AliveSet`] limit).
+    /// Panics if the config is invalid.
     pub fn new(config: SimConfig, protocol: impl ReplicaControl + 'static) -> Self {
         Simulation::from_boxed(config, Box::new(protocol))
     }
@@ -91,8 +90,8 @@ impl Simulation {
     ///
     /// # Panics
     ///
-    /// Panics if the config is invalid, the shard counts disagree, the
-    /// universes differ, or the universe exceeds 128 sites.
+    /// Panics if the config is invalid, the shard counts disagree or the
+    /// universes differ.
     pub fn from_shards(config: SimConfig, protocols: Vec<Box<dyn ReplicaControl>>) -> Self {
         config.validate();
         assert!(
@@ -103,10 +102,6 @@ impl Simulation {
         );
         let shards = ShardMap::new(protocols);
         let n = shards.universe().len();
-        assert!(
-            n <= AliveSet::MAX_SITES,
-            "simulator supports up to 128 sites"
-        );
         let rejoin = RejoinManager::new(&config);
         Simulation {
             engine: Engine::new(n, &config),

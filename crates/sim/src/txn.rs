@@ -20,7 +20,7 @@ use crate::message::{ClientId, ObjectId, OpId};
 use crate::metrics::SimMetrics;
 use crate::time::SimTime;
 use arbitree_core::{DetSet, Timestamp};
-use arbitree_quorum::{AliveSet, QuorumSet, ReplicaControl, SiteId};
+use arbitree_quorum::{QuorumSet, ReplicaControl, SiteId};
 use bytes::Bytes;
 use std::fmt;
 use std::ops::Range;
@@ -210,8 +210,8 @@ impl TxnState {
     }
 }
 
-/// Outstanding acknowledgements of one phase: per object, the bitmask of
-/// sites still to answer, objects in the order their quorums were added.
+/// Outstanding acknowledgements of one phase: per object, the set of sites
+/// still to answer, objects in the order their quorums were added.
 ///
 /// It replaces a `DetSet<(ObjectId, SiteId)>` filled quorum by quorum in
 /// ascending site order, and iterates — and prints `Debug` — exactly as
@@ -219,9 +219,9 @@ impl TxnState {
 /// ascending. Removal is a bit flip instead of an index rewrite.
 #[derive(Default)]
 pub(crate) struct AckSet {
-    /// Objects with at least one outstanding site (empty masks are
+    /// Objects with at least one outstanding site (emptied sets are
     /// dropped, so `is_empty` is `entries.is_empty()`).
-    entries: Vec<(ObjectId, AliveSet)>,
+    entries: Vec<(ObjectId, QuorumSet)>,
 }
 
 impl AckSet {
@@ -229,9 +229,8 @@ impl AckSet {
     /// (an object not already present).
     pub(crate) fn add_quorum(&mut self, obj: ObjectId, quorum: &QuorumSet) {
         debug_assert!(self.entries.iter().all(|&(o, _)| o != obj));
-        let sites = quorum.to_alive_set();
-        if !sites.is_empty() {
-            self.entries.push((obj, sites));
+        if !quorum.is_empty() {
+            self.entries.push((obj, quorum.clone()));
         }
     }
 
@@ -239,7 +238,7 @@ impl AckSet {
     pub(crate) fn contains(&self, obj: ObjectId, site: SiteId) -> bool {
         self.entries
             .iter()
-            .any(|&(o, sites)| o == obj && sites.contains(site))
+            .any(|(o, sites)| *o == obj && sites.contains(site))
     }
 
     /// Records `site`'s acknowledgement for `obj`; `true` if it was
@@ -248,7 +247,7 @@ impl AckSet {
         let Some(i) = self
             .entries
             .iter()
-            .position(|&(o, sites)| o == obj && sites.contains(site))
+            .position(|(o, sites)| *o == obj && sites.contains(site))
         else {
             return false;
         };
@@ -274,7 +273,7 @@ impl AckSet {
     pub(crate) fn iter(&self) -> impl Iterator<Item = (ObjectId, SiteId)> + '_ {
         self.entries
             .iter()
-            .flat_map(|&(obj, sites)| sites.iter().map(move |s| (obj, s)))
+            .flat_map(|(obj, sites)| sites.iter().map(move |s| (*obj, s)))
     }
 
     /// The outstanding sites alone, in [`AckSet::iter`] order.

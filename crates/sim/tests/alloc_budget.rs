@@ -8,11 +8,11 @@
 //! the operations committed inside that window.
 //!
 //! The counts are deterministic for a given seed and build, so the budgets
-//! are hard bounds, not statistical ones. Each budget is at most half of
-//! what the same window cost before transaction records, envelopes and
-//! lock states were recycled and short values were stored inline (11.9,
-//! 22.8 and 10.4 allocations per op). What remains is mostly the `Vec`
-//! behind each picked quorum.
+//! are hard bounds, not statistical ones, each just above its measured
+//! count (0.01, 0.19 and 0.93 allocations per op). The same windows cost
+//! 11.9, 22.8 and 10.4 before transaction records, envelopes and lock
+//! states were recycled and short values were stored inline, and 1.50,
+//! 1.69 and 2.94 while each picked quorum was still a sorted `Vec`.
 
 use arbitree_core::{builder, ArbitraryProtocol, ArbitraryTree};
 use arbitree_quorum::ReplicaControl;
@@ -144,7 +144,7 @@ fn batched_multi_object_transactions_stay_within_budget() {
     };
     let sim = Simulation::from_shards(config, shards(&one_three_five(), 16));
     let (per_op, _) = allocations_per_op(sim, SimTime::from_millis(100));
-    assert!(per_op <= 3.0, "{per_op:.2} allocations per op");
+    assert!(per_op <= 0.05, "{per_op:.2} allocations per op");
 }
 
 /// Algorithm 1's balanced tree for 100 replicas, single-op transactions.
@@ -164,7 +164,7 @@ fn wide_fan_out_single_op_transactions_stay_within_budget() {
     };
     let sim = Simulation::from_shards(config, shards(&tree, 1));
     let (per_op, _) = allocations_per_op(sim, SimTime::from_millis(500));
-    assert!(per_op <= 3.0, "{per_op:.2} allocations per op");
+    assert!(per_op <= 0.25, "{per_op:.2} allocations per op");
 }
 
 /// `1-3-5` under Zipfian keys, 1% link loss, and crashes of which 3% lose
@@ -204,5 +204,5 @@ fn zipfian_churn_with_amnesia_stays_within_budget() {
         report.metrics.rejoins_completed > 0,
         "no amnesia rejoin ran"
     );
-    assert!(per_op <= 4.0, "{per_op:.2} allocations per op");
+    assert!(per_op <= 1.0, "{per_op:.2} allocations per op");
 }

@@ -14,7 +14,7 @@
 use arbitree::analysis::Configuration;
 use arbitree::core::planner::{pareto_frontier, plan, Workload};
 use arbitree::core::{render_tree, ArbitraryProtocol, ArbitraryTree, TreeMetrics};
-use arbitree::quorum::{AliveSet, ReplicaControl};
+use arbitree::quorum::ReplicaControl;
 use arbitree::{
     cell_seed, run_cells, ExperimentCell, FailureSchedule, SimConfig, SimDuration, SimTime,
     Simulation,
@@ -249,13 +249,6 @@ fn simulate(args: &[String]) -> CliResult {
 
     let proto = ArbitraryProtocol::parse(&spec)?;
     let n = proto.tree().replica_count();
-    if n > AliveSet::MAX_SITES {
-        return Err(format!(
-            "tree has {n} replicas but the simulator supports at most {}",
-            AliveSet::MAX_SITES
-        )
-        .into());
-    }
     let base = SimConfig {
         seed,
         duration: SimDuration::from_millis(300),
