@@ -82,13 +82,17 @@ impl ConsistencyChecker {
     /// guarantees visibility of the last committed write.)
     pub fn check_read(&mut self, op: OpId, obj: ObjectId, value: &Bytes, ts: Timestamp) {
         self.reads_checked += 1;
-        let model = self.objects.entry(obj).or_default();
-        if ts != model.committed_ts || *value != model.committed_value {
+        // A never-written object is at `Timestamp::ZERO` with an empty
+        // value; looking it up leaves the model free of read-only objects.
+        let model = self.objects.get(&obj);
+        let committed_ts = model.map_or(Timestamp::ZERO, |m| m.committed_ts);
+        let value_matches = model.map_or(value.is_empty(), |m| *value == m.committed_value);
+        if ts != committed_ts || !value_matches {
             self.violations.push(Violation {
                 op,
                 obj,
                 got: ts,
-                expected_at_least: model.committed_ts,
+                expected_at_least: committed_ts,
             });
         }
     }
@@ -113,7 +117,8 @@ impl ConsistencyChecker {
         self.writes_recorded
     }
 
-    /// The committed version the checker currently expects for `obj`.
+    /// The committed version the checker currently expects for `obj`, or
+    /// `None` before its first committed write.
     pub fn committed(&self, obj: ObjectId) -> Option<(Timestamp, Bytes)> {
         self.objects
             .get(&obj)
@@ -175,6 +180,23 @@ mod tests {
         assert!(!c.is_consistent());
         // Committed state unchanged by the bad write.
         assert_eq!(c.committed(obj).unwrap().0, ts(5));
+    }
+
+    #[test]
+    fn reads_of_unwritten_objects_leave_the_model_empty() {
+        let mut c = ConsistencyChecker::new();
+        c.check_read(OpId(1), ObjectId(7), &Bytes::new(), Timestamp::ZERO);
+        assert!(c.is_consistent());
+        assert_eq!(c.committed(ObjectId(7)), None);
+        c.check_read(
+            OpId(2),
+            ObjectId(7),
+            &Bytes::from_static(b"x"),
+            Timestamp::ZERO,
+        );
+        c.check_read(OpId(3), ObjectId(7), &Bytes::new(), ts(1));
+        assert_eq!(c.violations().len(), 2);
+        assert!(c.objects.is_empty());
     }
 
     #[test]
