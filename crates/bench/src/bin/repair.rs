@@ -19,6 +19,12 @@
 //! slope ≈ 1 (the `log n` factor bends only the saturated small-`d` end),
 //! and repair must beat full transfer by a wide margin at small `d`.
 //!
+//! The source fills any divergent range holding at most 16 of its keys,
+//! so on this stride layout the descent stops at depth 4 (2^16-key ranges,
+//! 16 store keys each at `n = 2^20`): the committed full sweep reads
+//! messages ~ d^0.848, 225.9× cheaper than full transfer at `d = 1024`,
+//! in 5 rounds at every `d`.
+//!
 //! Usage: `repair [--smoke] [--keys <n>] [--out <path>]` (defaults:
 //! `n = 2^20`, `d ∈ {2^4 … 2^14}`; `--smoke` shrinks to `n = 2^16`,
 //! `d ∈ {2^4 … 2^10}` for CI but still writes the JSON).
@@ -187,15 +193,16 @@ fn run_cell(src: &HTree, n: u64, stride: u64, d: u64) -> Outcome {
     let mut messages = 0u64;
     let mut rounds = 0u64;
     let mut keys_transferred = 0u64;
+    let mut reqs = Vec::new();
     while !session.is_done() {
-        let reqs = session.take_requests(&dst, WINDOW);
+        session.take_requests(&dst, WINDOW, &mut reqs);
         assert!(!reqs.is_empty(), "session stuck with work pending");
         rounds += 1;
-        for (range, digest) in reqs {
+        for &(range, digest) in &reqs {
             messages += 2; // probe + response
             let resp = respond(src, range, digest);
-            if let Response::Fill(keys) = &resp {
-                for &k in keys {
+            if resp == Response::Fill {
+                for k in src.range_keys(range) {
                     if dst.item(k) != src.item(k) {
                         keys_transferred += 1;
                         dst.insert(k, src.item(k).expect("responder holds key"));

@@ -164,20 +164,21 @@ pub enum Payload {
         /// Match, or one digest per child range.
         verdict: RangeVerdict,
     },
-    /// Source site → syncing site: full contents of a mismatching leaf
-    /// range — the receiver installs whatever is newer than its own copy.
+    /// Source site → syncing site: full contents of a mismatching range
+    /// sparse enough to ship whole — the receiver installs whatever is
+    /// newer than its own copy.
     RangeFill {
-        /// The (leaf) range the request named.
+        /// The range the request named.
         range: Range,
         /// Every committed `(object, value, timestamp)` in the range.
         items: Vec<(ObjectId, Bytes, Timestamp)>,
     },
 }
 
-/// The source side's answer to a [`Payload::RangeHashReq`] over an internal
-/// (non-leaf) range: either the digests agree or the requester should
-/// descend. Mismatching *leaf* ranges are answered with
-/// [`Payload::RangeFill`] instead.
+/// The source side's answer to a [`Payload::RangeHashReq`] it does not
+/// fill: either the digests agree or the requester should descend.
+/// Mismatching ranges sparse enough to ship whole (every mismatching leaf
+/// among them) are answered with [`Payload::RangeFill`] instead.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RangeVerdict {
     /// Digests agree — the whole range is already in sync.

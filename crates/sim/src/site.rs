@@ -197,28 +197,22 @@ impl Site {
                 None
             }
             // Anti-entropy source side: compare the requester's digest with
-            // ours and answer with a verdict (internal range) or the full
-            // leaf contents (leaf range).
+            // ours and answer with a verdict, or with the range's full
+            // contents when it is sparse enough to ship whole.
             Payload::RangeHashReq { range, peer } => {
-                let reply = match respond(self.storage.htree(), *range, *peer) {
+                let range = *range;
+                let reply = match respond(self.storage.htree(), range, *peer) {
                     Response::Match => Payload::RangeHashResp {
-                        range: *range,
+                        range,
                         verdict: RangeVerdict::Match,
                     },
                     Response::Children(digests) => Payload::RangeHashResp {
-                        range: *range,
+                        range,
                         verdict: RangeVerdict::Children(digests),
                     },
-                    Response::Fill(keys) => Payload::RangeFill {
-                        range: *range,
-                        items: keys
-                            .into_iter()
-                            .map(|k| {
-                                let obj = crate::message::ObjectId(k);
-                                let v = self.storage.read(obj);
-                                (obj, v.value, v.ts)
-                            })
-                            .collect(),
+                    Response::Fill => Payload::RangeFill {
+                        range,
+                        items: self.storage.fill(range),
                     },
                 };
                 Some((Endpoint::Site(self.id), reply))
@@ -412,47 +406,39 @@ mod tests {
         assert!(s.storage().staged(ObjectId(6)).is_none());
     }
 
-    #[test]
-    fn serving_site_answers_range_hash_requests() {
+    /// A serving site with `objs` committed at version 1 (value `b"v"`).
+    fn site_with(objs: impl IntoIterator<Item = u32>) -> Site {
         let mut m = SimMetrics::default();
         let mut s = Site::new(SiteId::new(0));
         let ts = Timestamp::new(1, SiteId::new(0));
-        s.handle(
-            &Payload::Prepare {
-                op: OpId(1),
-                obj: ObjectId(5),
-                value: Bytes::from_static(b"v"),
-                ts,
-            },
-            &mut m,
-        );
-        s.handle(&commit(OpId(1), ObjectId(5), b"v", ts), &mut m);
-        // Empty requester at the root: digests mismatch, children returned.
-        let req = Payload::RangeHashReq {
-            range: Range::ROOT,
-            peer: NodeAgg::EMPTY,
-        };
+        for (i, obj) in objs.into_iter().enumerate() {
+            s.handle(&commit(OpId(i as u64), ObjectId(obj), b"v", ts), &mut m);
+        }
+        s
+    }
+
+    fn range_req(range: Range, peer: NodeAgg) -> Payload {
+        Payload::RangeHashReq { range, peer }
+    }
+
+    #[test]
+    fn serving_site_answers_range_hash_requests() {
+        let mut m = SimMetrics::default();
+        let mut s = site_with([5]);
+        let ts = Timestamp::new(1, SiteId::new(0));
+        // Empty requester at the root: the whole range comes back in one
+        // fill.
+        let req = range_req(Range::ROOT, NodeAgg::EMPTY);
         match s.handle(&req, &mut m) {
-            Some((
-                _,
-                Payload::RangeHashResp {
-                    verdict: RangeVerdict::Children(d),
-                    ..
-                },
-            )) => {
-                assert_eq!(d.len(), 16);
+            Some((_, Payload::RangeFill { range, items })) => {
+                assert_eq!(range, Range::ROOT);
+                assert_eq!(items, vec![(ObjectId(5), Bytes::from_static(b"v"), ts)]);
             }
             other => panic!("unexpected {other:?}"),
         }
         // Matching digest: Match.
         let here = s.storage_mut().htree().digest(Range::ROOT);
-        match s.handle(
-            &Payload::RangeHashReq {
-                range: Range::ROOT,
-                peer: here,
-            },
-            &mut m,
-        ) {
+        match s.handle(&range_req(Range::ROOT, here), &mut m) {
             Some((
                 _,
                 Payload::RangeHashResp {
@@ -464,13 +450,7 @@ mod tests {
         }
         // Mismatching leaf: the full contents come back.
         let leaf = Range::of(5, arbitree_sync::LEAF_DEPTH);
-        match s.handle(
-            &Payload::RangeHashReq {
-                range: leaf,
-                peer: NodeAgg::EMPTY,
-            },
-            &mut m,
-        ) {
+        match s.handle(&range_req(leaf, NodeAgg::EMPTY), &mut m) {
             Some((_, Payload::RangeFill { items, .. })) => {
                 assert_eq!(items, vec![(ObjectId(5), Bytes::from_static(b"v"), ts)]);
             }
@@ -480,6 +460,63 @@ mod tests {
         s.crash(CrashMode::Amnesia);
         s.recover(CrashMode::Amnesia);
         assert!(s.handle(&req, &mut m).is_none());
+    }
+
+    #[test]
+    fn sparse_internal_range_is_filled_whole() {
+        // Three keys in different leaves under one depth-1 range; the
+        // requester already holds one of them, so only sparseness (≤ 16
+        // items) makes this a fill.
+        let mut m = SimMetrics::default();
+        let mut s = site_with([3, 1 << 20, 1 << 24]);
+        let mut peer = Storage::new();
+        peer.repair(
+            ObjectId(3),
+            Bytes::from_static(b"v"),
+            Timestamp::new(1, SiteId::new(0)),
+        );
+        let range = Range::of(3, 1);
+        match s.handle(&range_req(range, peer.htree().digest(range)), &mut m) {
+            Some((_, Payload::RangeFill { range: r, items })) => {
+                assert_eq!(r, range);
+                let objs: Vec<ObjectId> = items.iter().map(|(obj, _, _)| *obj).collect();
+                assert_eq!(objs, [ObjectId(3), ObjectId(1 << 20), ObjectId(1 << 24)]);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn range_over_sixteen_items_is_split_for_a_non_empty_requester() {
+        let mut m = SimMetrics::default();
+        let mut s = site_with(0..17);
+        let mut peer = Storage::new();
+        peer.repair(
+            ObjectId(0),
+            Bytes::from_static(b"v"),
+            Timestamp::new(1, SiteId::new(0)),
+        );
+        match s.handle(
+            &range_req(Range::ROOT, peer.htree().digest(Range::ROOT)),
+            &mut m,
+        ) {
+            Some((
+                _,
+                Payload::RangeHashResp {
+                    verdict: RangeVerdict::Children(d),
+                    ..
+                },
+            )) => {
+                assert_eq!(d.len(), 16);
+                assert_eq!(d[0].count, 17);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        // The same range to an empty requester fits the fill budget.
+        match s.handle(&range_req(Range::ROOT, NodeAgg::EMPTY), &mut m) {
+            Some((_, Payload::RangeFill { items, .. })) => assert_eq!(items.len(), 17),
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     #[test]

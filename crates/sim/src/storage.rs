@@ -8,7 +8,8 @@
 //! Alongside the committed map, storage keeps a [`HTree`] — a
 //! cumulated-hash range tree over the committed keyspace — so anti-entropy
 //! can locate a diff in O(diff · log n) range-hash comparisons instead of
-//! scanning (or shipping) the full store. Only a rejoining site or a sync
+//! scanning (or shipping) the full store, and ship a sparse or
+//! requester-empty range whole ([`Storage::fill`]). Only a rejoining site or a sync
 //! source ever reads the tree, so it is maintained lazily: installs append
 //! `(key, item_hash)` to a log, and the log is applied on the next digest
 //! read ([`Storage::htree`], which takes `&mut self` so no reader can see a
@@ -18,7 +19,7 @@
 
 use crate::message::{ObjectId, OpId};
 use arbitree_core::{DetMap, Timestamp};
-use arbitree_sync::{item_hash, HTree, NodeAgg};
+use arbitree_sync::{item_hash, HTree, NodeAgg, Range};
 use bytes::Bytes;
 use std::fmt;
 
@@ -123,6 +124,20 @@ impl Storage {
         &self.htree
     }
 
+    /// Every committed `(object, value, timestamp)` in `range`, in key
+    /// order — the contents of an anti-entropy fill for it.
+    pub fn fill(&mut self, range: Range) -> Vec<(ObjectId, Bytes, Timestamp)> {
+        self.flush();
+        // arbitree-lint: allow(D004) — a count of stored keys fits usize
+        let mut items = Vec::with_capacity(self.htree.digest(range).count as usize);
+        for key in self.htree.range_keys(range) {
+            let obj = ObjectId(key);
+            let v = self.read(obj);
+            items.push((obj, v.value, v.ts));
+        }
+        items
+    }
+
     /// Applies the install log to the tree. Only the last install of each
     /// key matters (the tree is a function of the final item map), so the
     /// log is sorted by key — stably, keeping install order within a key —
@@ -135,7 +150,7 @@ impl Storage {
             }
         }
         self.log.clear();
-        debug_assert_eq!(self.htree.digest(arbitree_sync::Range::ROOT), self.root);
+        debug_assert_eq!(self.htree.digest(Range::ROOT), self.root);
     }
 
     /// Installs `value` at `ts` into the committed map, updates the root

@@ -26,14 +26,21 @@
 //! 1. the requester sends `(range, own digest)` starting at the root;
 //! 2. the responder compares against its own digest for that range and
 //!    answers [`Response::Match`] (subtree identical, prune),
+//!    [`Response::Fill`] (the whole range in one message: every key it
+//!    holds there, which the caller resolves to values and transfers), or
 //!    [`Response::Children`] (16 child digests in one message — the
-//!    requester recurses into mismatching children only), or
-//!    [`Response::Fill`] (at the leaf level: the keys it holds in the
-//!    range, which the caller resolves to values and transfers).
+//!    requester recurses into mismatching children only). It fills when
+//!    it holds at most [`BRANCH`] items in the range (a leaf's span, so
+//!    every leaf mismatch is a fill), or when the requester holds nothing
+//!    there and the responder at most [`FILL_BUDGET`]: an empty range
+//!    cannot be narrowed by recursing, only delayed.
 //!
-//! Matching subtrees are pruned immediately, so a diff of `d` keys out of
-//! `n` costs O(d · log n) messages instead of the O(n) of full state
-//! transfer — the `repair` bench sweeps exactly this curve.
+//! Matching subtrees are pruned immediately, and the descent stops at the
+//! first divergent range sparse enough to ship whole. A diff of `d` keys
+//! out of `n` therefore costs O(d · log n) messages instead of the O(n) of
+//! full state transfer — the `repair` bench sweeps exactly this curve —
+//! and an emptied replica (an amnesia rejoin) pulls its store in about
+//! `n / FILL_BUDGET` fills instead of one probe chain per 16-key leaf.
 //!
 //! ## Determinism
 //!
@@ -53,9 +60,14 @@ use std::fmt;
 pub const BRANCH_BITS: u32 = 4;
 /// Fan-out of every internal node (`2^BRANCH_BITS`).
 pub const BRANCH: usize = 1 << BRANCH_BITS;
-/// Depth of the leaf level: nodes there span `2^(32 − 4·7)` = 16 keys,
-/// small enough to ship as a single [`Response::Fill`].
+/// Depth of the leaf level: nodes there span `2^(32 − 4·7)` = 16 keys.
+/// The descent never goes deeper: a leaf holds at most [`BRANCH`] items,
+/// so a mismatching leaf is always answered with a [`Response::Fill`].
 pub const LEAF_DEPTH: u8 = 7;
+/// Most items a responder ships in one [`Response::Fill`] for a range the
+/// requester holds nothing of. Any divergent range with at most [`BRANCH`]
+/// responder items is filled whatever the requester holds.
+pub const FILL_BUDGET: u64 = 1024;
 
 /// A contiguous, prefix-aligned key range — one node of the tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -298,13 +310,13 @@ impl HTree {
             .collect()
     }
 
-    /// The live keys inside a **leaf** range, ascending (≤ [`BRANCH`]).
-    pub fn leaf_keys(&self, range: Range) -> Vec<u32> {
-        assert_eq!(range.depth, LEAF_DEPTH, "fills ship leaf ranges only");
-        // A leaf spans 16 keys: `lo` fits u32 and `lo + 15` cannot wrap.
-        // arbitree-lint: allow(D004) — leaf lo < 2^32 by construction
-        let lo = range.lo() as u32;
-        self.items.range(lo..=lo + 15).map(|(&k, _)| k).collect()
+    /// The live keys inside `range`, ascending — what a
+    /// [`Response::Fill`] for it ships.
+    pub fn range_keys(&self, range: Range) -> impl Iterator<Item = u32> + '_ {
+        // The last key of any range is at most u32::MAX (the root's).
+        // arbitree-lint: allow(D004) — lo + span − 1 < 2^32 by construction
+        let (lo, hi) = (range.lo() as u32, (range.lo() + range.span() - 1) as u32);
+        self.items.range(lo..=hi).map(|(&k, _)| k)
     }
 
     /// Iterates `(key, item_hash)` pairs in key order.
@@ -318,21 +330,26 @@ impl HTree {
 pub enum Response {
     /// The subtrees match — the requester prunes the whole range.
     Match,
-    /// Digests differ above the leaf level: the responder's [`BRANCH`]
-    /// child digests, for the requester to recurse into mismatches.
+    /// Digests differ over a range too full to ship whole: the
+    /// responder's [`BRANCH`] child digests, for the requester to recurse
+    /// into mismatches.
     Children(Vec<NodeAgg>),
-    /// Digests differ at the leaf level: the keys the responder holds in
-    /// the range. The caller resolves them to values and transfers those.
-    Fill(Vec<u32>),
+    /// Digests differ over a range sparse enough to ship whole: the
+    /// responder transfers every key it holds there
+    /// ([`HTree::range_keys`]) with its value, and the requester installs
+    /// them before consuming this response.
+    Fill,
 }
 
 /// Stateless responder logic: compares the requester's digest for `range`
-/// against `tree`'s own and picks the answer shape.
+/// against `tree`'s own and picks the answer shape (see the module doc's
+/// protocol step 2).
 pub fn respond(tree: &HTree, range: Range, peer: NodeAgg) -> Response {
-    if tree.digest(range) == peer {
+    let mine = tree.digest(range);
+    if mine == peer {
         Response::Match
-    } else if range.depth == LEAF_DEPTH {
-        Response::Fill(tree.leaf_keys(range))
+    } else if mine.count <= BRANCH as u64 || (peer.count == 0 && mine.count <= FILL_BUDGET) {
+        Response::Fill
     } else {
         Response::Children(tree.child_digests(range))
     }
@@ -348,7 +365,7 @@ pub struct SessionStats {
     pub responses: u64,
     /// Subtrees pruned by a digest match.
     pub matches: u64,
-    /// Leaf fills received.
+    /// Range fills received.
     pub fills: u64,
 }
 
@@ -387,10 +404,10 @@ impl Session {
         self.outstanding.len()
     }
 
-    /// Moves up to `max` pending ranges into flight and returns the
-    /// `(range, local digest)` probes to send.
-    pub fn take_requests(&mut self, tree: &HTree, max: usize) -> Vec<(Range, NodeAgg)> {
-        let mut out = Vec::new();
+    /// Moves up to `max` pending ranges into flight and writes their
+    /// `(range, local digest)` probes to `out`, replacing its contents.
+    pub fn take_requests(&mut self, tree: &HTree, max: usize, out: &mut Vec<(Range, NodeAgg)>) {
+        out.clear();
         while out.len() < max {
             let Some(range) = self.pending.pop() else {
                 break;
@@ -399,16 +416,13 @@ impl Session {
             self.stats.requests += 1;
             out.push((range, tree.digest(range)));
         }
-        out
     }
 
-    /// Re-materializes every in-flight probe (with *current* digests) —
-    /// the retransmission set after a timeout.
-    pub fn resend_requests(&self, tree: &HTree) -> Vec<(Range, NodeAgg)> {
-        self.outstanding
-            .iter()
-            .map(|&r| (r, tree.digest(r)))
-            .collect()
+    /// Writes every in-flight probe (with *current* digests) to `out`,
+    /// replacing its contents — the retransmission set after a timeout.
+    pub fn resend_requests(&self, tree: &HTree, out: &mut Vec<(Range, NodeAgg)>) {
+        out.clear();
+        out.extend(self.outstanding.iter().map(|&r| (r, tree.digest(r))));
     }
 
     /// Consumes a response for `range`. For [`Response::Fill`] the caller
@@ -422,7 +436,7 @@ impl Session {
         self.stats.responses += 1;
         match resp {
             Response::Match => self.stats.matches += 1,
-            Response::Fill(_) => self.stats.fills += 1,
+            Response::Fill => self.stats.fills += 1,
             Response::Children(theirs) => {
                 // Reverse order so the LIFO frontier probes child 0 first.
                 for i in (0..BRANCH as u32).rev() {
@@ -449,14 +463,15 @@ mod tests {
     fn reconcile(src: &HTree, dst: &mut HTree, window: usize) -> u64 {
         let mut session = Session::new();
         let mut messages = 0u64;
+        let mut reqs = Vec::new();
         while !session.is_done() {
-            let reqs = session.take_requests(dst, window);
+            session.take_requests(dst, window, &mut reqs);
             assert!(!reqs.is_empty(), "session stuck with work pending");
-            for (range, digest) in reqs {
+            for &(range, digest) in &reqs {
                 messages += 2; // request + response
                 let resp = respond(src, range, digest);
-                if let Response::Fill(keys) = &resp {
-                    for &k in keys {
+                if resp == Response::Fill {
+                    for k in src.range_keys(range) {
                         dst.insert(k, src.item(k).expect("responder holds key"));
                     }
                 }
@@ -597,7 +612,8 @@ mod tests {
         let src = tree_of([1]);
         let dst = HTree::new();
         let mut s = Session::new();
-        let reqs = s.take_requests(&dst, 16);
+        let mut reqs = Vec::new();
+        s.take_requests(&dst, 16, &mut reqs);
         assert_eq!(reqs.len(), 1);
         let resp = respond(&src, Range::ROOT, NodeAgg::EMPTY);
         assert!(s.on_response(&dst, Range::ROOT, &resp));
@@ -608,8 +624,48 @@ mod tests {
     fn resend_requests_mirror_outstanding() {
         let dst = tree_of([9]);
         let mut s = Session::new();
-        let sent = s.take_requests(&dst, 16);
-        assert_eq!(s.resend_requests(&dst), sent);
+        let (mut sent, mut resent) = (Vec::new(), vec![(Range::ROOT, NodeAgg::EMPTY); 3]);
+        s.take_requests(&dst, 16, &mut sent);
+        s.resend_requests(&dst, &mut resent);
+        assert_eq!(resent, sent);
         assert_eq!(s.in_flight(), 1);
+    }
+
+    #[test]
+    fn range_keys_cover_any_depth() {
+        let keys = [0u32, 15, 16, 0x0FFF_FFFF, 0x1000_0000, u32::MAX];
+        let t = tree_of(keys);
+        assert!(t.range_keys(Range::ROOT).eq(keys));
+        assert!(t.range_keys(Range::of(0, LEAF_DEPTH)).eq([0, 15]));
+        assert!(t.range_keys(Range::of(0, 1)).eq([0, 15, 16, 0x0FFF_FFFF]));
+        assert!(t.range_keys(Range::of(u32::MAX, 3)).eq([u32::MAX]));
+        assert!(t.range_keys(Range::of(0x8000_0000, 2)).eq([]));
+    }
+
+    #[test]
+    fn full_ranges_are_split_unless_the_requester_is_empty_there() {
+        // 17 items over 17 leaves: one more than a fill may carry to a
+        // requester that already holds part of the range.
+        let src = tree_of((0..17).map(|i| i << 4));
+        let partial = tree_of([0]);
+        match respond(&src, Range::ROOT, partial.digest(Range::ROOT)) {
+            Response::Children(d) => assert_eq!(d.len(), BRANCH),
+            other => panic!("expected children, got {other:?}"),
+        }
+        // An empty requester gets the whole range up to the budget ...
+        assert_eq!(respond(&src, Range::ROOT, NodeAgg::EMPTY), Response::Fill);
+        // ... and the children above it.
+        // arbitree-lint: allow(D004) — FILL_BUDGET + 1 keys fit u32
+        let big = tree_of(0..FILL_BUDGET as u32 + 1);
+        assert!(matches!(
+            respond(&big, Range::ROOT, NodeAgg::EMPTY),
+            Response::Children(_)
+        ));
+        // An empty requester descends the one populated path (depths 0–5)
+        // and then takes four full 256-key ranges and the one key past
+        // them as five fills: 11 probes, where 16-key leaves would take 66.
+        let mut dst = HTree::new();
+        assert_eq!(reconcile(&big, &mut dst, 4), 2 * 11);
+        assert_eq!(dst, big);
     }
 }
