@@ -1087,6 +1087,28 @@ impl Coordinator {
         }
     }
 
+    /// A site recovered into `Syncing`: its storage was wiped, so commit
+    /// acknowledgements it gave before the wipe no longer vouch for the
+    /// value. Every transaction still gathering commit acks expects one
+    /// from it again for each written object whose write quorum holds it;
+    /// the re-sent `Commit` carries the decided value and lands once the
+    /// site serves, and until then the transaction keeps its locks, so no
+    /// reader meets the gap. Counting the old ack would let the write
+    /// complete while the rejoin's sources held only its stage, leaving a
+    /// serving member of its write quorum without it.
+    pub(crate) fn on_syncing(&mut self, site: SiteId) {
+        for state in self.ops.values_mut() {
+            if state.phase != Phase::CommitGather {
+                continue;
+            }
+            for e in &state.objects {
+                if e.is_write() && e.write_quorum.contains(site) {
+                    state.pending.insert(e.obj, site);
+                }
+            }
+        }
+    }
+
     /// Handles a [`Event::Reconfigure`]: pop the next queued target and
     /// start draining towards it.
     pub(crate) fn on_reconfigure_event(&mut self, engine: &mut Engine, shards: &mut ShardMap) {

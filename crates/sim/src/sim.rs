@@ -340,6 +340,7 @@ impl Simulation {
             Event::AmnesiaCrash(s) => self.engine.crash(s, CrashMode::Amnesia),
             Event::Recover(s) => {
                 if self.engine.recover(s) == SiteHealth::Syncing {
+                    self.coordinator.on_syncing(s);
                     self.rejoin.on_recover(&mut self.engine, &self.shards, s);
                 }
             }

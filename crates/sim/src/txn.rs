@@ -234,6 +234,17 @@ impl AckSet {
         }
     }
 
+    /// Expects an acknowledgement from `site` for `obj`, whether or not it
+    /// already gave one.
+    pub(crate) fn insert(&mut self, obj: ObjectId, site: SiteId) {
+        match self.entries.iter_mut().find(|(o, _)| *o == obj) {
+            Some((_, sites)) => sites.insert(site),
+            None => self
+                .entries
+                .push((obj, QuorumSet::from_indices([site.as_u32()]))),
+        }
+    }
+
     /// Whether `(obj, site)` is still outstanding.
     pub(crate) fn contains(&self, obj: ObjectId, site: SiteId) -> bool {
         self.entries
