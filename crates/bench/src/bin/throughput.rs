@@ -49,6 +49,8 @@ struct Outcome {
     dist_name: &'static str,
     batching: bool,
     seed: u64,
+    /// Wall time of `Simulation::from_shards`.
+    setup_ms: f64,
     wall_ms: f64,
     report: SimReport,
 }
@@ -131,16 +133,19 @@ fn main() {
                             as Box<dyn ReplicaControl>
                     })
                     .collect();
-                let mut sim = Simulation::from_shards(config, protocols);
                 // arbitree-lint: allow(D002) — wall-clock timing of the bench harness itself
                 let t0 = Instant::now();
+                let mut sim = Simulation::from_shards(config, protocols);
+                let built = t0.elapsed();
                 let report = sim.run();
-                let wall_ms = t0.elapsed().as_secs_f64() * 1_000.0;
+                let setup_ms = built.as_secs_f64() * 1_000.0;
+                let wall_ms = (t0.elapsed() - built).as_secs_f64() * 1_000.0;
                 outcomes.push(Outcome {
                     shards,
                     dist_name,
                     batching,
                     seed,
+                    setup_ms,
                     wall_ms,
                     report,
                 });
@@ -161,6 +166,7 @@ fn main() {
                 m.messages_sent.to_string(),
                 m.batches_sent.to_string(),
                 fmt_f(o.ops_per_message()),
+                fmt_f(o.setup_ms),
                 fmt_f(o.wall_ms),
                 if o.report.consistent {
                     "ok"
@@ -174,11 +180,17 @@ fn main() {
     print!(
         "{}",
         render_table(
-            &["cell", "txns", "ops", "ops/sec", "msgs", "batches", "ops/msg", "wall ms", "1SR",],
+            &[
+                "cell", "txns", "ops", "ops/sec", "msgs", "batches", "ops/msg", "setup ms",
+                "wall ms", "1SR",
+            ],
             &rows
         )
     );
-    println!("(ops/sec = committed ops per simulated second; ops/msg = per network message)");
+    println!(
+        "(ops/sec = committed ops per simulated second; ops/msg = per network message; \
+         setup ms = wall time of Simulation::from_shards)"
+    );
 
     // Efficiency gate: at the largest shard count, batching must deliver
     // at least `bar`x the unbatched ops-per-message for every distribution.
@@ -274,6 +286,7 @@ fn render_json(
                 .field("batches_sent", m.batches_sent)
                 .field("batched_payloads", m.batched_payloads)
                 .field("ops_per_message", format!("{:.4}", o.ops_per_message()))
+                .field("setup_ms", format!("{:.3}", o.setup_ms))
                 .field("wall_ms", format!("{:.1}", o.wall_ms))
                 .field("violations", o.report.violations)
                 .field("consistent", o.report.consistent),

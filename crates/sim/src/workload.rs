@@ -4,9 +4,19 @@
 //! [`ObjectDistribution::Zipfian`] models that with a power-law sampler
 //! (precomputed CDF, inverse-transform sampling), and
 //! [`ArrivalPattern::Bursty`] models on/off traffic.
+//!
+//! A Zipfian CDF over `n` objects is `n` `powf` calls and `8 · n` bytes
+//! (about 1 ms and 512 KiB at 2^16 keys), and a benchmark builds many
+//! simulations of one shape in a row. Each thread therefore keeps the last
+//! table it built, keyed by `(objects, exponent)`, and samplers of that
+//! shape share it. The table stays in memory until the thread builds one
+//! of another shape or exits. Uniform samplers hold no table and bypass the
+//! memo. The memo is per thread, so parallel sweeps share nothing.
 
 use crate::time::SimDuration;
 use rand::Rng;
+use std::cell::RefCell;
+use std::sync::Arc;
 
 /// How a client picks the object of its next operation.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -42,9 +52,46 @@ pub enum ArrivalPattern {
 /// Precomputed object sampler.
 #[derive(Debug, Clone)]
 pub struct ObjectSampler {
-    /// Cumulative distribution over object ids; empty means uniform.
-    cdf: Vec<f64>,
+    /// Cumulative distribution over object ids; `None` means uniform.
+    cdf: Option<Arc<[f64]>>,
     objects: u32,
+}
+
+/// A Zipfian CDF's shape: object count and exponent bits.
+type ZipfShape = (usize, u64);
+
+thread_local! {
+    /// The last Zipfian CDF this thread built, with its shape.
+    static ZIPF_CDF: RefCell<Option<(ZipfShape, Arc<[f64]>)>> = const { RefCell::new(None) };
+}
+
+/// The Zipfian CDF over `objects` ids with `exponent`, from this thread's
+/// memo when the last table it built has that shape.
+fn zipf_cdf(objects: usize, exponent: f64) -> Arc<[f64]> {
+    let shape = (objects, exponent.to_bits());
+    ZIPF_CDF.with_borrow_mut(|memo| {
+        if let Some((built, cdf)) = memo {
+            if *built == shape {
+                return Arc::clone(cdf);
+            }
+        }
+        // Collected straight into the `Arc` (one allocation, no copy),
+        // then normalised in place: `make_mut` on the only handle does
+        // not clone.
+        let mut acc = 0.0;
+        let mut cdf: Arc<[f64]> = (0..objects)
+            .map(|i| {
+                acc += 1.0 / ((i + 1) as f64).powf(exponent);
+                acc
+            })
+            .collect();
+        let total = acc;
+        for v in Arc::make_mut(&mut cdf) {
+            *v /= total;
+        }
+        *memo = Some((shape, Arc::clone(&cdf)));
+        cdf
+    })
 }
 
 impl ObjectSampler {
@@ -56,23 +103,13 @@ impl ObjectSampler {
     pub fn new(objects: usize, dist: ObjectDistribution) -> Self {
         assert!(objects > 0, "need at least one object");
         let cdf = match dist {
-            ObjectDistribution::Uniform => Vec::new(),
+            ObjectDistribution::Uniform => None,
             ObjectDistribution::Zipfian { exponent } => {
                 assert!(
                     exponent >= 0.0 && exponent.is_finite(),
                     "zipf exponent must be a nonnegative finite number"
                 );
-                let mut acc = 0.0;
-                let mut cdf = Vec::with_capacity(objects);
-                for i in 0..objects {
-                    acc += 1.0 / ((i + 1) as f64).powf(exponent);
-                    cdf.push(acc);
-                }
-                let total = acc;
-                for v in &mut cdf {
-                    *v /= total;
-                }
-                cdf
+                Some(zipf_cdf(objects, exponent))
             }
         };
         ObjectSampler {
@@ -83,11 +120,11 @@ impl ObjectSampler {
 
     /// Samples an object id.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u32 {
-        if self.cdf.is_empty() {
+        let Some(cdf) = &self.cdf else {
             return rng.gen_range(0..self.objects);
-        }
+        };
         let x: f64 = rng.gen();
-        match self.cdf.binary_search_by(|v| v.total_cmp(&x)) {
+        match cdf.binary_search_by(|v| v.total_cmp(&x)) {
             Ok(i) | Err(i) => (i as u32).min(self.objects - 1),
         }
     }
@@ -196,6 +233,59 @@ mod tests {
         assert_ne!(draw(0x5EED), draw(0x5EEE), "different seeds diverge");
         // Values recorded at introduction.
         assert_eq!(draw(0x5EED)[..4], [625, 423, 322, 846]);
+    }
+
+    /// The memoized table behind a Zipfian sampler.
+    fn table(s: &ObjectSampler) -> &Arc<[f64]> {
+        s.cdf.as_ref().expect("a Zipfian sampler holds a table")
+    }
+
+    #[test]
+    fn builds_of_one_shape_share_the_thread_table() {
+        let zipf = |exponent| ObjectDistribution::Zipfian { exponent };
+        let a = ObjectSampler::new(1000, zipf(1.1));
+        let b = ObjectSampler::new(1000, zipf(1.1));
+        assert!(Arc::ptr_eq(table(&a), table(&b)), "a repeat build reuses");
+        assert_eq!(Arc::strong_count(table(&a)), 3, "a, b and the memo");
+        let c = ObjectSampler::new(1000, zipf(1.0));
+        assert!(!Arc::ptr_eq(table(&a), table(&c)));
+        assert_eq!(Arc::strong_count(table(&a)), 2, "the memo let go of it");
+        let d = ObjectSampler::new(999, zipf(1.0));
+        assert!(
+            !Arc::ptr_eq(table(&c), table(&d)),
+            "the count is in the key"
+        );
+        let e = ObjectSampler::new(1000, zipf(1.1));
+        assert!(!Arc::ptr_eq(table(&a), table(&e)), "replaced, so rebuilt");
+        assert!(ObjectSampler::new(1000, ObjectDistribution::Uniform)
+            .cdf
+            .is_none());
+        let f = ObjectSampler::new(1000, zipf(1.1));
+        assert!(Arc::ptr_eq(table(&e), table(&f)), "uniform left the memo");
+    }
+
+    #[test]
+    fn cold_and_warm_samplers_draw_alike() {
+        // The memo must be invisible on the replay surface: a table built
+        // on a fresh thread and one handed out by a warm memo give the
+        // same draws, for the benchmark's shape and `stress.rs`'s.
+        let draws = |s: &ObjectSampler| -> Vec<u32> {
+            let mut rng = StdRng::seed_from_u64(0xC01D);
+            (0..10_000).map(|_| s.sample(&mut rng)).collect()
+        };
+        for (objects, exponent) in [(65_536, 1.0), (1_000, 1.1)] {
+            let dist = ObjectDistribution::Zipfian { exponent };
+            let first = ObjectSampler::new(objects, dist);
+            let warm = ObjectSampler::new(objects, dist);
+            assert!(Arc::ptr_eq(table(&first), table(&warm)));
+            let cold = std::thread::scope(|scope| {
+                scope
+                    .spawn(|| draws(&ObjectSampler::new(objects, dist)))
+                    .join()
+                    .expect("the cold build does not panic")
+            });
+            assert_eq!(cold, draws(&warm), "{objects} objects, s = {exponent}");
+        }
     }
 
     #[test]

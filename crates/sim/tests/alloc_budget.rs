@@ -1,11 +1,14 @@
-//! Heap allocations per committed operation on the steady-state path.
+//! Heap allocations per committed operation on the steady-state path,
+//! and per repeated simulation set-up.
 //!
 //! A counting global allocator wraps the system one. Counting is per
 //! thread, so the harness's other test threads do not leak into a count.
-//! Each test runs one of three configurations shaped like the perfbench
-//! workloads, lets it warm up (pools, maps and queues reach their working
+//! Three configurations are shaped like the perfbench workloads. For each,
+//! one test lets a run warm up (pools, maps and queues reach their working
 //! size), then counts every allocation until the run's end and divides by
-//! the operations committed inside that window.
+//! the operations committed inside that window; another counts the
+//! allocations and bytes of a repeat build, the work perfbench's `setup_s`
+//! times on every build after a thread's first.
 //!
 //! The counts are deterministic for a given seed and build, so the budgets
 //! are hard bounds, not statistical ones, each just above its measured
@@ -15,6 +18,11 @@
 //! 1.69 and 2.94 while each picked quorum was still a sorted `Vec`. The
 //! churn window cost 0.93 while rejoins descended every divergent range to
 //! 16-key leaves and built fresh probe and key buffers at every step.
+//!
+//! A repeat build measures 62, 135 and 51 allocations (10,048, 65,005 and
+//! 41,513 bytes). It cost 70, 235 and 60 allocations (10,240, 67,405 and
+//! 565,993 bytes) while every replica's range tree kept its levels in a
+//! `Vec` and every Zipfian build recomputed its 512 KiB key table.
 
 use arbitree_core::{builder, ArbitraryProtocol, ArbitraryTree};
 use arbitree_quorum::ReplicaControl;
@@ -28,19 +36,22 @@ use std::cell::Cell;
 thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Counts `alloc`, `alloc_zeroed` and `realloc` calls made by a thread
-/// while its `COUNTING` flag is set.
+/// while its `COUNTING` flag is set, and sums the bytes they ask for (a
+/// `realloc` counts its new size).
 struct CountingAllocator;
 
 impl CountingAllocator {
-    fn note() {
+    fn note(bytes: usize) {
         // `try_with` so an allocation during thread teardown, after the
         // thread-locals are gone, is simply not counted.
         let _ = COUNTING.try_with(|on| {
             if on.get() {
                 ALLOCATIONS.with(|n| n.set(n.get() + 1));
+                BYTES.with(|n| n.set(n.get() + bytes as u64));
             }
         });
     }
@@ -52,17 +63,17 @@ impl CountingAllocator {
 // allocate and so cannot re-enter the allocator.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        Self::note();
+        Self::note(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        Self::note();
+        Self::note(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        Self::note();
+        Self::note(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -118,6 +129,25 @@ fn allocations_per_op(mut sim: Simulation, warm_up: SimTime) -> (f64, SimReport)
     (per_op, report)
 }
 
+/// Allocations and bytes of a repeat `build`: one build warms whatever a
+/// thread keeps between builds, then the second is counted. The
+/// simulation is dropped outside the count.
+fn repeat_setup(build: fn() -> Simulation) -> (u64, u64) {
+    drop(build());
+    ALLOCATIONS.with(|n| n.set(0));
+    BYTES.with(|n| n.set(0));
+    COUNTING.with(|on| on.set(true));
+    let sim = build();
+    COUNTING.with(|on| on.set(false));
+    drop(sim);
+    let counts = (ALLOCATIONS.with(Cell::get), BYTES.with(Cell::get));
+    println!(
+        "repeat set-up: {} allocations, {} bytes",
+        counts.0, counts.1
+    );
+    counts
+}
+
 fn shards(tree: &ArbitraryTree, count: usize) -> Vec<Box<dyn ReplicaControl>> {
     (0..count)
         .map(|_| Box::new(ArbitraryProtocol::new(tree.clone())) as Box<dyn ReplicaControl>)
@@ -130,8 +160,7 @@ fn one_three_five() -> ArbitraryTree {
 
 /// 16-shard `1-3-5` with batching, 2^20 uniform keys, 1–16 ops per
 /// transaction.
-#[test]
-fn batched_multi_object_transactions_stay_within_budget() {
+fn keyspace_batch() -> Simulation {
     let config = SimConfig {
         seed: 1,
         clients: 16,
@@ -144,14 +173,11 @@ fn batched_multi_object_transactions_stay_within_budget() {
         duration: SimDuration::from_millis(300),
         ..SimConfig::default()
     };
-    let sim = Simulation::from_shards(config, shards(&one_three_five(), 16));
-    let (per_op, _) = allocations_per_op(sim, SimTime::from_millis(100));
-    assert!(per_op <= 0.05, "{per_op:.2} allocations per op");
+    Simulation::from_shards(config, shards(&one_three_five(), 16))
 }
 
 /// Algorithm 1's balanced tree for 100 replicas, single-op transactions.
-#[test]
-fn wide_fan_out_single_op_transactions_stay_within_budget() {
+fn balanced_100() -> Simulation {
     let tree = builder::balanced(100)
         .and_then(|spec| ArbitraryTree::from_spec(&spec))
         .expect("balanced(100) is a valid tree");
@@ -164,15 +190,12 @@ fn wide_fan_out_single_op_transactions_stay_within_budget() {
         duration: SimDuration::from_millis(3_000),
         ..SimConfig::default()
     };
-    let sim = Simulation::from_shards(config, shards(&tree, 1));
-    let (per_op, _) = allocations_per_op(sim, SimTime::from_millis(500));
-    assert!(per_op <= 0.25, "{per_op:.2} allocations per op");
+    Simulation::from_shards(config, shards(&tree, 1))
 }
 
-/// `1-3-5` under Zipfian keys, 1% link loss, and crashes of which 3% lose
-/// their storage and rejoin through anti-entropy.
-#[test]
-fn zipfian_churn_with_amnesia_stays_within_budget() {
+/// `1-3-5` under 2^16 Zipfian keys, 1% link loss, and crashes of which 3%
+/// lose their storage and rejoin through anti-entropy.
+fn hot_churn() -> Simulation {
     let duration = SimDuration::from_millis(3_000);
     let mut config = SimConfig {
         seed: 1,
@@ -201,10 +224,48 @@ fn zipfian_churn_with_amnesia_stays_within_budget() {
         7,
     )
     .apply(&mut sim);
-    let (per_op, report) = allocations_per_op(sim, SimTime::from_millis(500));
+    sim
+}
+
+#[test]
+fn batched_multi_object_transactions_stay_within_budget() {
+    let (per_op, _) = allocations_per_op(keyspace_batch(), SimTime::from_millis(100));
+    assert!(per_op <= 0.05, "{per_op:.2} allocations per op");
+}
+
+#[test]
+fn wide_fan_out_single_op_transactions_stay_within_budget() {
+    let (per_op, _) = allocations_per_op(balanced_100(), SimTime::from_millis(500));
+    assert!(per_op <= 0.25, "{per_op:.2} allocations per op");
+}
+
+#[test]
+fn zipfian_churn_with_amnesia_stays_within_budget() {
+    let (per_op, report) = allocations_per_op(hot_churn(), SimTime::from_millis(500));
     assert!(
         report.metrics.rejoins_completed > 0,
         "no amnesia rejoin ran"
     );
     assert!(per_op <= 0.2, "{per_op:.2} allocations per op");
+}
+
+#[test]
+fn keyspace_batch_repeat_setup_stays_within_budget() {
+    let (allocations, bytes) = repeat_setup(keyspace_batch);
+    assert!(allocations <= 64, "{allocations} allocations");
+    assert!(bytes <= 10_500, "{bytes} bytes");
+}
+
+#[test]
+fn balanced_100_repeat_setup_stays_within_budget() {
+    let (allocations, bytes) = repeat_setup(balanced_100);
+    assert!(allocations <= 140, "{allocations} allocations");
+    assert!(bytes <= 66_000, "{bytes} bytes");
+}
+
+#[test]
+fn hot_churn_repeat_setup_stays_within_budget() {
+    let (allocations, bytes) = repeat_setup(hot_churn);
+    assert!(allocations <= 55, "{allocations} allocations");
+    assert!(bytes <= 44_000, "{bytes} bytes");
 }

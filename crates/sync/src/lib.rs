@@ -190,7 +190,7 @@ pub struct HTree {
     items: BTreeMap<u32, u64>,
     /// Aggregates for depths `1..=LEAF_DEPTH` (index `depth − 1`), keyed
     /// by node prefix. Nodes with no items are absent (≡ [`NodeAgg::EMPTY`]).
-    levels: Vec<BTreeMap<u32, NodeAgg>>,
+    levels: [BTreeMap<u32, NodeAgg>; LEAF_DEPTH as usize],
     /// The root aggregate (depth 0).
     root: NodeAgg,
 }
@@ -218,7 +218,7 @@ impl HTree {
     pub fn new() -> Self {
         HTree {
             items: BTreeMap::new(),
-            levels: (1..=LEAF_DEPTH).map(|_| BTreeMap::new()).collect(),
+            levels: Default::default(),
             root: NodeAgg::EMPTY,
         }
     }
