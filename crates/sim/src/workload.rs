@@ -6,7 +6,7 @@
 //! [`ArrivalPattern::Bursty`] models on/off traffic.
 //!
 //! A Zipfian CDF over `n` objects is `n` `powf` calls and `8 · n` bytes
-//! (about 1 ms and 512 KiB at 2^16 keys), and a benchmark builds many
+//! (0.7–1.5 ms and 512 KiB at 2^16 keys), and a benchmark builds many
 //! simulations of one shape in a row. Each thread therefore keeps the last
 //! table it built, keyed by `(objects, exponent)`, and samplers of that
 //! shape share it. The table stays in memory until the thread builds one
@@ -75,18 +75,18 @@ fn zipf_cdf(objects: usize, exponent: f64) -> Arc<[f64]> {
                 return Arc::clone(cdf);
             }
         }
-        // Collected straight into the `Arc` (one allocation, no copy),
-        // then normalised in place: `make_mut` on the only handle does
-        // not clone.
+        // Filled in place (`make_mut` on the only handle does not clone):
+        // copying a finished `Vec` in would touch another `8 · objects`
+        // bytes of fresh pages on every cold build.
+        let mut cdf: Arc<[f64]> = std::iter::repeat_n(0.0, objects).collect();
+        let slots = Arc::make_mut(&mut cdf);
         let mut acc = 0.0;
-        let mut cdf: Arc<[f64]> = (0..objects)
-            .map(|i| {
-                acc += 1.0 / ((i + 1) as f64).powf(exponent);
-                acc
-            })
-            .collect();
+        for (i, v) in slots.iter_mut().enumerate() {
+            acc += 1.0 / ((i + 1) as f64).powf(exponent);
+            *v = acc;
+        }
         let total = acc;
-        for v in Arc::make_mut(&mut cdf) {
+        for v in slots {
             *v /= total;
         }
         *memo = Some((shape, Arc::clone(&cdf)));
