@@ -321,8 +321,7 @@ impl Simulation {
                         self.engine.metrics.messages_to_dead += 1;
                     } else {
                         self.engine.metrics.messages_delivered += 1;
-                        self.rejoin
-                            .on_message(&mut self.engine, &self.shards, sid, msg);
+                        self.rejoin.on_message(&mut self.engine, sid, msg);
                     }
                 }
                 Endpoint::Site(sid) => self.engine.deliver_to_site(sid, msg),
@@ -341,12 +340,22 @@ impl Simulation {
             Event::Recover(s) => {
                 if self.engine.recover(s) == SiteHealth::Syncing {
                     self.coordinator.on_syncing(s);
-                    self.rejoin.on_recover(&mut self.engine, &self.shards, s);
+                    self.rejoin.on_recover(
+                        &mut self.engine,
+                        &self.shards,
+                        self.coordinator.migration_target(),
+                        s,
+                    );
                 }
             }
             Event::SyncRetry { site, epoch, .. } => {
-                self.rejoin
-                    .on_retry(&mut self.engine, &self.shards, site, epoch);
+                self.rejoin.on_retry(
+                    &mut self.engine,
+                    &self.shards,
+                    self.coordinator.migration_target(),
+                    site,
+                    epoch,
+                );
             }
             Event::SetPartition(p) => self.engine.set_partition(p),
             Event::NetOverride(o) => self.engine.set_network_override(o),

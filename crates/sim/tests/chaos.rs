@@ -615,8 +615,12 @@ fn repair_smoke_table_is_pinned_across_engine_swaps() {
 /// responder began filling empty and sparse ranges whole instead of only
 /// 16-key leaves: both run range-hash reconciliation, so its message
 /// counts (repair: 226 → 98 messages and 8 → 4 rounds at d = 16) and the
-/// chaos cells' rejoin timing move by design.
-const PINNED_CHAOS_CAMPAIGN: u64 = 2764108976281574602;
+/// chaos cells' rejoin timing move by design. The chaos pin was re-taken
+/// once more when a rejoin began syncing from one serving mate of each
+/// write quorum holding the site instead of from a whole read quorum per
+/// shard: the cells' amnesia rejoins draw other sources and send fewer
+/// probes.
+const PINNED_CHAOS_CAMPAIGN: u64 = 14785949767217873562;
 const PINNED_THROUGHPUT_SMOKE: u64 = 5468455340288058325;
 const PINNED_REPAIR_SMOKE: u64 = 8898867257685442620;
 
