@@ -3,7 +3,10 @@
 
 use arbitree_core::ArbitraryProtocol;
 use arbitree_quorum::SiteId;
-use arbitree_sim::{FailureSchedule, NetworkConfig, SimConfig, SimDuration, SimTime, Simulation};
+use arbitree_sim::{
+    EventKey, FailureSchedule, NetworkConfig, Scheduler, SeededScheduler, SimConfig, SimDuration,
+    SimTime, Simulation,
+};
 
 fn config(seed: u64) -> SimConfig {
     SimConfig {
@@ -77,6 +80,57 @@ fn reconfiguration_under_churn_is_safe_even_if_abandoned() {
             report.violations, report.metrics.reconfigurations
         );
     }
+}
+
+/// Fires events in the seeded order and records whether `site` was ever
+/// mid-rejoin while a migration was in flight.
+struct WatchOverlap {
+    site: SiteId,
+    overlapped: bool,
+}
+
+impl Scheduler for WatchOverlap {
+    fn select(&mut self, sim: &Simulation) -> Option<EventKey> {
+        self.overlapped |=
+            sim.rejoin().is_rejoining(self.site) && sim.coordinator().migration_target().is_some();
+        SeededScheduler.select(sim)
+    }
+}
+
+#[test]
+fn amnesia_rejoin_during_a_migration_meets_the_target_quorums() {
+    // `1-3-5` → `1-4-4` over the same 8 sites. Site 3 sits in the old
+    // level {3..7} and the target level {0..3}, so its sources must come
+    // from both: one old level-mate and one target level-mate (two
+    // sessions). Migration writes go to old ∪ target write quorums, so a
+    // rejoin that met only the old structure could miss them.
+    let mut cfg = config(31);
+    cfg.objects = 40;
+    cfg.duration = SimDuration::from_millis(600);
+    let mut sim = Simulation::new(cfg, ArbitraryProtocol::parse("1-3-5").unwrap());
+    let site = SiteId::new(3);
+    sim.schedule_reconfigure(
+        SimTime::from_millis(100),
+        ArbitraryProtocol::parse("1-4-4").unwrap(),
+    );
+    sim.schedule_amnesia_crash(SimTime::from_millis(105), site);
+    sim.schedule_recover(SimTime::from_millis(115), site);
+    let mut watch = WatchOverlap {
+        site,
+        overlapped: false,
+    };
+    let report = sim.run_with(&mut watch);
+    let m = &report.metrics;
+    assert!(
+        watch.overlapped,
+        "the rejoin never overlapped the migration"
+    );
+    assert!(report.consistent, "{} violations", report.violations);
+    assert_eq!(m.sync_violations, 0);
+    assert_eq!(m.reconfigurations, 1, "{m}");
+    assert_eq!(m.rejoins_completed, 1, "{m}");
+    assert!(m.sync_sessions >= 2, "one session per structure ({m})");
+    assert_eq!(sim.protocol().describe(), "1-4-4");
 }
 
 #[test]
