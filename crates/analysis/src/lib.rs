@@ -23,6 +23,7 @@
 //! assert_eq!(pt.read_load, 0.25);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -20,6 +20,7 @@
 //! variant Maekawa's own paper recommends in practice, and the substitution
 //! is recorded in DESIGN.md.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

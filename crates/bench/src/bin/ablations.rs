@@ -18,6 +18,8 @@
 //!
 //! Usage: `ablations [--n <n>]` (default 100).
 
+#![forbid(unsafe_code)]
+
 use arbitree_analysis::report::{fmt_f, render_table};
 use arbitree_bench::arg_value;
 use arbitree_core::builder::{balanced, even_levels};

@@ -4,6 +4,8 @@
 //!
 //! Usage: `availability [--n <finite_n>]` (default 400).
 
+#![forbid(unsafe_code)]
+
 use arbitree_analysis::report::{fmt_f, render_table};
 use arbitree_bench::arg_value;
 use arbitree_core::builder::balanced;

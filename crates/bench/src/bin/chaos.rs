@@ -15,6 +15,8 @@
 //! (defaults: 3 seeds, 3200 ms, `1-3-5`; `--smoke` shrinks to 2 seeds of
 //! 1200 ms for CI).
 
+#![forbid(unsafe_code)]
+
 use arbitree_analysis::report::{fmt_f, render_table};
 use arbitree_bench::arg_value;
 use arbitree_core::ArbitraryProtocol;

@@ -37,6 +37,8 @@
 //! Exit status is nonzero on a checksum mismatch between the two queues,
 //! or when the calendar queue misses its speedup bar at 1023 pending.
 
+#![forbid(unsafe_code)]
+
 use arbitree_analysis::report::{fmt_f, render_table};
 use arbitree_bench::arg_value;
 use arbitree_bench::events_driver::{bimodal_hold_model, hold_model};

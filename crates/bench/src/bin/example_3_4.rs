@@ -2,6 +2,8 @@
 //! for the 8-replica `1-3-5` tree at p = 0.7, side by side with the paper's
 //! reported values.
 
+#![forbid(unsafe_code)]
+
 use arbitree_analysis::report::{fmt_f, render_table};
 use arbitree_core::{ArbitraryTree, TreeMetrics};
 

@@ -3,6 +3,8 @@
 //!
 //! Usage: `fig2 [--n <max_n>]` (default 520).
 
+#![forbid(unsafe_code)]
+
 use arbitree_analysis::figures::{emit_figure_charts, figure2};
 use arbitree_analysis::report::{fmt_f, render_series};
 use arbitree_bench::arg_value;

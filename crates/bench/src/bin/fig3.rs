@@ -3,6 +3,8 @@
 //!
 //! Usage: `fig3 [--n <max_n>] [--p <availability>]` (defaults 520, 0.7).
 
+#![forbid(unsafe_code)]
+
 use arbitree_analysis::figures::{emit_figure_charts, figure3};
 use arbitree_analysis::report::{fmt_f, render_series};
 use arbitree_bench::arg_value;

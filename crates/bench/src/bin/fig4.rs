@@ -4,6 +4,8 @@
 //!
 //! Usage: `fig4 [--n <max_n>] [--p <availability>]` (defaults 520, 0.7).
 
+#![forbid(unsafe_code)]
+
 use arbitree_analysis::figures::{emit_figure_charts, figure4, lower_bound_comparison};
 use arbitree_analysis::report::{fmt_f, render_series, render_table};
 use arbitree_bench::arg_value;

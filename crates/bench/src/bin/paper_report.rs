@@ -4,6 +4,8 @@
 //! Usage: `paper_report [--trials <k>]` (default 20000; raise for tighter
 //! empirical tolerances).
 
+#![forbid(unsafe_code)]
+
 use arbitree_analysis::stats::summarize;
 use arbitree_analysis::{crossover, figures, metrics, Configuration};
 use arbitree_bench::arg_value;

@@ -21,6 +21,8 @@
 //! status is nonzero when any smoke scenario reports findings, any
 //! mutant survives, or the unmutated baseline is dirty.
 
+#![forbid(unsafe_code)]
+
 use arbitree_bench::report::{json_str, BenchReport, BenchRow};
 use arbitree_core::ArbitraryProtocol;
 use arbitree_race::{analyze, mutants, RaceMutation, RaceReport, Session};

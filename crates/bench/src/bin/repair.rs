@@ -34,6 +34,8 @@
 //! `d = 2^10` (`2^8` in smoke) is not at least 10x (1x in smoke) cheaper
 //! than the full-transfer baseline.
 
+#![forbid(unsafe_code)]
+
 use arbitree_analysis::report::{fmt_f, render_table};
 use arbitree_bench::arg_value;
 use arbitree_bench::report::{BenchReport, BenchRow};

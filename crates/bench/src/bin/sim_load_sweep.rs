@@ -5,6 +5,8 @@
 //!
 //! Usage: `sim_load_sweep [--seed <s>]`.
 
+#![forbid(unsafe_code)]
+
 use arbitree_analysis::report::{fmt_f, render_table};
 use arbitree_bench::arg_value;
 use arbitree_core::builder::balanced;

@@ -6,6 +6,8 @@
 //! Usage: `sim_validate [--n <target_n>] [--p <availability>] [--trials <k>]`
 //! (defaults 31, 0.75, 30000).
 
+#![forbid(unsafe_code)]
+
 use arbitree_analysis::report::{fmt_f, render_table};
 use arbitree_analysis::Configuration;
 use arbitree_bench::arg_value;

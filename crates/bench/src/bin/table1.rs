@@ -2,6 +2,8 @@
 //! node counts of every level of the Figure 1 tree (spec `1-3-5` with four
 //! logical filler nodes on level 2).
 
+#![forbid(unsafe_code)]
+
 use arbitree_analysis::report::render_table;
 use arbitree_core::{ArbitraryTree, LevelSpec, TreeSpec};
 

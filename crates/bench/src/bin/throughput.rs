@@ -29,6 +29,8 @@
 //! fails its message-efficiency bar at the largest shard count (≥2× the
 //! unbatched ops-per-message in the full sweep).
 
+#![forbid(unsafe_code)]
+
 use arbitree_analysis::report::{fmt_f, render_table};
 use arbitree_bench::arg_value;
 use arbitree_bench::report::{json_str, BenchReport, BenchRow};

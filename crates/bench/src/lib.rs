@@ -25,6 +25,8 @@
 //! `repair`, and `race_audit`'s recording-tax rows. `ablations` runs the
 //! design ablations DESIGN.md calls out.
 
+#![forbid(unsafe_code)]
+
 /// Shared command-line helper: parse `--n <max_n>` and `--p <prob>` style
 /// arguments with defaults, ignoring anything else.
 pub fn arg_value(args: &[String], key: &str) -> Option<f64> {

@@ -9,6 +9,8 @@
 //! or any seeded mutation survives — and, under `audit`, if the oracle
 //! refutes the real relation or a seeded relation mutation survives.
 
+#![forbid(unsafe_code)]
+
 use arbitree_check::{explore, kill_all, Budget, Scenario};
 use std::process::ExitCode;
 // arbitree-lint: allow(D002) — wall-clock timing of the checker itself, not simulated time

@@ -51,6 +51,7 @@
 //! # Ok::<(), arbitree_core::TreeError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

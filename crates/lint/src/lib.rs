@@ -38,6 +38,8 @@
 //! token-level matching over comment/string-stripped lines is all these
 //! rules need.
 
+#![forbid(unsafe_code)]
+
 pub mod rules;
 pub mod scanner;
 

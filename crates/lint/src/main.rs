@@ -7,6 +7,8 @@
 //! Exit status: 0 when no unsuppressed diagnostic remains, 1 when findings
 //! exist, 2 on usage or I/O errors.
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 

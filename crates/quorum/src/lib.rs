@@ -47,6 +47,7 @@
 //! # Ok::<(), arbitree_quorum::QuorumError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -50,6 +50,7 @@
 //! collections. Two replicas with equal stores produce byte-identical
 //! digests and message sequences.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

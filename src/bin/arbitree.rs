@@ -11,6 +11,8 @@
 //!   [--migrate-to <target>]          live-migrate mid-run (rowa | majority | spec)
 //! ```
 
+#![forbid(unsafe_code)]
+
 use arbitree::analysis::Configuration;
 use arbitree::core::planner::{pareto_frontier, plan, Workload};
 use arbitree::core::{render_tree, ArbitraryProtocol, ArbitraryTree, TreeMetrics};

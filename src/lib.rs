@@ -4,6 +4,9 @@
 //! re-exports below cover the simulator's layered API (engine,
 //! coordinator, protocol trait) and the parallel experiment runner so
 //! examples and the CLI need no cross-crate imports.
+
+#![forbid(unsafe_code)]
+
 pub use arbitree_analysis as analysis;
 pub use arbitree_baselines as baselines;
 pub use arbitree_core as core;
