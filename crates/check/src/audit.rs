@@ -222,8 +222,10 @@ impl RelationMutation {
             }
             // A range probe reads the *whole* committed store of its
             // site, so a co-pending single-object `Commit` to that site
-            // changes the probe's response.
-            RelationMutation::ObjectTagUnguarded => Scenario::amnesia_rejoin(),
+            // changes the probe's response. The rejoin's source is a
+            // write-quorum mate, so the commit must be one the wiped site
+            // also owes: the wipe lands while it is still being gathered.
+            RelationMutation::ObjectTagUnguarded => Scenario::wipe_during_commit(),
             // A `Repair {obj 1}` racing a `Batch` that carries a
             // `ReadReq {obj 1}` at the same site.
             RelationMutation::BatchFirstObject => Scenario::batched_repair(),

@@ -37,6 +37,11 @@ pub enum FaultInjection {
     /// acknowledgements: a reader admitted during the window can observe
     /// the pre-commit version after the writer already reported success.
     EarlyLockRelease,
+    /// Keep counting a commit acknowledgement from a site that has since
+    /// lost its storage and recovered into `Syncing`: the write can
+    /// complete although the rejoined site may serve without it, so a
+    /// later read through that site misses it.
+    ForgetWipedAcks,
 }
 
 impl FaultInjection {
@@ -46,6 +51,7 @@ impl FaultInjection {
         FaultInjection::StaleCommitAck,
         FaultInjection::KeepLocksOnAbort,
         FaultInjection::EarlyLockRelease,
+        FaultInjection::ForgetWipedAcks,
     ];
 
     /// Stable display name (mutation-kill tables).
@@ -55,6 +61,7 @@ impl FaultInjection {
             FaultInjection::StaleCommitAck => "stale-commit-ack",
             FaultInjection::KeepLocksOnAbort => "keep-locks-on-abort",
             FaultInjection::EarlyLockRelease => "early-lock-release",
+            FaultInjection::ForgetWipedAcks => "forget-wiped-acks",
         }
     }
 }
