@@ -299,7 +299,7 @@ pub(crate) fn classify(sim: &Simulation, key: EventKey, event: &Event) -> Class 
         Event::Crash(s) | Event::AmnesiaCrash(s) => Class::Fault(s.as_u32()),
         // Once any amnesia crash is scheduled (a run property fixed at
         // schedule time, stable across re-executions), a recovery may start
-        // a rejoin: it draws the run RNG for source quorums and changes
+        // a rejoin: it draws the run RNG for its sources and changes
         // coordinator-visible serving state — global. Without amnesia it
         // stays the site-local fault it always was.
         Event::Recover(s) => {
@@ -310,7 +310,7 @@ pub(crate) fn classify(sim: &Simulation, key: EventKey, event: &Event) -> Class 
             }
         }
         // A live rejoin retry resends probes or restarts the rejoin
-        // (fresh source quorums from the run RNG) — global. Stale ones
+        // (fresh sources from the run RNG) — global. Stale ones
         // were already classified `NoOp` above.
         Event::SyncRetry { .. } => Class::Global,
         Event::ClientTick(_) | Event::OpTimeout { .. } => Class::Coordinator,

@@ -22,8 +22,8 @@
 //! (under a controlled scheduler, time is a label — only the order chosen
 //! by the scheduler matters), sequence numbers (two interleavings that
 //! reach the same state label their pending events differently), and the
-//! observational channels (metrics, history, per-op `started` stamps) that
-//! never feed back into a decision.
+//! observational channels (metrics, history, per-op and per-rejoin
+//! `started` stamps) that never feed back into a decision.
 //!
 //! Three variants share one accumulation pass:
 //!
