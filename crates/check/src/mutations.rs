@@ -76,7 +76,15 @@ impl Mutation {
             Mutation::Fault(FaultInjection::StaleCommitAck) => Scenario::write_then_read(),
             Mutation::Fault(FaultInjection::KeepLocksOnAbort) => Scenario::crash_abort(),
             Mutation::Fault(FaultInjection::EarlyLockRelease) => Scenario::write_read_race(),
-            Mutation::Fault(FaultInjection::ForgetWipedAcks) => Scenario::wipe_during_commit(),
+            // The stale read is step 44 and the violation shows at step 46,
+            // when that read completes. The search runs 4 steps past it,
+            // so one more event before it (an extra tick, a reordered
+            // retry) cannot push the kill out of the budget. The scenario
+            // itself keeps depth 44, where the audit walks it.
+            Mutation::Fault(FaultInjection::ForgetWipedAcks) => Scenario {
+                smoke_depth: 50,
+                ..Scenario::wipe_during_commit()
+            },
         }
     }
 
@@ -114,10 +122,13 @@ pub struct KillResult {
 /// explorer killed it.
 pub fn kill_one(mutation: &Mutation, budget: Budget) -> KillResult {
     let scenario = mutation.scenario();
-    // Search at the scenario's drainable depth: a kill is a violation
-    // inside the envelope the unmutated exploration exhausts. Deeper
-    // bounds only feed the DFS an unbounded retry-cycle tail to drown in.
-    let budget = budget.with_depth(scenario.smoke_depth.min(budget.max_depth));
+    // Search at the target's smoke depth, whatever the budget's: for an
+    // exhaustive-tier scenario that is its drainable depth, so a kill is
+    // a violation inside the envelope the unmutated exploration exhausts,
+    // and deeper bounds only feed the DFS an unbounded retry-cycle tail to
+    // drown in. A bounded-tier target may set it past the smoke budget's
+    // depth to leave its kill headroom.
+    let budget = budget.with_depth(scenario.smoke_depth);
     let outcome = explore(&scenario, Some(mutation), budget);
     KillResult {
         mutation: mutation.name(),

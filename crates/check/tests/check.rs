@@ -163,6 +163,23 @@ fn stale_commit_ack_kill_reports_a_stale_read() {
 }
 
 #[test]
+fn forget_wiped_acks_kill_has_depth_headroom() {
+    // The kill search runs at its target's smoke depth; one more event
+    // before the stale read (an extra tick, a reordered retry) must not
+    // push the violation past it.
+    let m = Mutation::Fault(FaultInjection::ForgetWipedAcks);
+    let r = kill_one(&m, Budget::smoke());
+    assert!(r.killed);
+    assert_eq!(r.kind, "consistency");
+    let steps = r.violation.unwrap().schedule.len();
+    let depth = m.scenario().smoke_depth;
+    assert!(
+        steps + 4 <= depth,
+        "the violation shows at step {steps} of a {depth}-step search"
+    );
+}
+
+#[test]
 fn cross_shard_ablation_drains_with_refined_fewest_schedules() {
     let s = Scenario::cross_shard();
     let b = test_budget(s.smoke_depth);

@@ -1,11 +1,16 @@
 //! Model-based test of `DetMap`: random insert/remove/get/entry/clear
 //! sequences run against a naive insertion-ordered `Vec` model. Removal
 //! tombstones slots and compacts them in batches, so the sequences are long
-//! enough, over few enough keys, to cross many compactions.
+//! enough, over few enough keys, to cross many compactions. A second set
+//! of sequences fills the map with 300 to 400 distinct keys, so its index
+//! table grows from 4 buckets to 512, then churns it with removals and
+//! re-insertions (long probe chains, some wrapping past the table's end,
+//! shifted back on every removal) and drains it across compactions.
 //!
-//! Every property runs twice: over plain `u8` keys and over [`Collide`]
-//! keys, whose hashes are all equal. Lookups, iteration order, `Debug` and
-//! equality must come out the same either way, since the hash index is
+//! Every property runs twice: over plain integer keys and over [`Collide`]
+//! keys, whose hashes are all equal, so every key has the same index tag
+//! and one probe chain holds them all. Lookups, iteration order, `Debug`
+//! and equality must come out the same either way, since the hash index is
 //! only probed, never iterated.
 
 use arbitree_core::{DetMap, DetSet};
@@ -16,7 +21,7 @@ use std::hash::{Hash, Hasher};
 /// A key whose `Hash` writes a constant: every key lands on the same hash,
 /// the worst case for the index.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Collide(u8);
+struct Collide(u16);
 
 impl Hash for Collide {
     fn hash<H: Hasher>(&self, state: &mut H) {
@@ -95,6 +100,11 @@ fn distinct_keys(target: &[(u8, u32)]) -> Vec<(u8, u32)> {
         }
     }
     out
+}
+
+/// Wraps a narrow key as a [`Collide`].
+fn collide(k: u8) -> Collide {
+    Collide(u16::from(k))
 }
 
 fn map_matches_model<K: Key>(ops: &[(u8, u8, u32)], key: fn(u8) -> K) -> TestCaseResult {
@@ -318,6 +328,101 @@ fn set_equality_is_content_based<K: Key>(
     Ok(())
 }
 
+/// Keys the wide sequences draw from: 401 is prime, so `i * 181 % 401`
+/// visits each of them once as `i` runs over `0..401`.
+const WIDE_KEYS: u16 = 401;
+
+/// The `i`-th key of a fill that starts at `offset`.
+fn fill_key(i: u16, offset: u16) -> u16 {
+    ((u32::from(i) * 181 + u32::from(offset)) % u32::from(WIDE_KEYS)) as u16
+}
+
+/// A fill size and offset, then churn steps `(opcode, key, value)` over
+/// the same keys.
+fn wide_steps() -> impl Strategy<Value = (u16, u16, Vec<(u8, u16, u32)>)> {
+    (
+        300u16..=WIDE_KEYS,
+        0u16..WIDE_KEYS,
+        proptest::collection::vec((0u8..10, 0u16..WIDE_KEYS, 0u32..1000), 500..1500),
+    )
+}
+
+/// The map against the model on every key: order, length and membership.
+fn agrees<K: Key>(map: &DetMap<K, u32>, model: &Model<K>, key: fn(u16) -> K) -> TestCaseResult {
+    let order: Vec<(K, u32)> = map.iter().map(|(&k, &v)| (k, v)).collect();
+    prop_assert_eq!(&order, &model.0);
+    prop_assert_eq!(map.len(), model.0.len());
+    for probe in 0..=WIDE_KEYS {
+        prop_assert_eq!(map.get(&key(probe)).copied(), model.get(key(probe)));
+    }
+    Ok(())
+}
+
+/// Fills `size` distinct keys, churns them with `ops`, then removes every
+/// key but each tenth (in fill order), checking the map against the model
+/// along the way and at the end of each phase.
+fn wide_map_matches_model<K: Key>(
+    size: u16,
+    offset: u16,
+    ops: &[(u8, u16, u32)],
+    key: fn(u16) -> K,
+) -> TestCaseResult {
+    let mut map: DetMap<K, u32> = DetMap::new();
+    let mut model = Model(Vec::new());
+    for i in 0..size {
+        let k = key(fill_key(i, offset));
+        prop_assert_eq!(map.insert(k, u32::from(i)), model.insert(k, u32::from(i)));
+    }
+    agrees(&map, &model, key)?;
+    for (step, &(op, k, v)) in ops.iter().enumerate() {
+        let k = key(k);
+        match op {
+            // As many removals as insertions: the map hovers near its fill
+            // size while its keys move to the back of the slot order.
+            0..=3 => prop_assert_eq!(map.remove(&k), model.remove(k), "remove at {}", step),
+            4..=7 => prop_assert_eq!(map.insert(k, v), model.insert(k, v), "insert at {}", step),
+            8 => prop_assert_eq!(map.get(&k).copied(), model.get(k), "get at {}", step),
+            _ => {
+                *map.entry(k).or_insert(v) += 1;
+                match model.pos(k) {
+                    Some(i) => model.0[i].1 += 1,
+                    None => model.0.push((k, v + 1)),
+                }
+            }
+        }
+        prop_assert_eq!(map.len(), model.0.len(), "len after step {}", step);
+        if step % 64 == 0 {
+            agrees(&map, &model, key)?;
+        }
+    }
+    agrees(&map, &model, key)?;
+    for i in (0..WIDE_KEYS).filter(|i| i % 10 != 0) {
+        let k = key(fill_key(i, offset));
+        prop_assert_eq!(map.remove(&k), model.remove(k));
+    }
+    agrees(&map, &model, key)?;
+    prop_assert_eq!(format!("{map:?}"), model.debug());
+    let rebuilt: DetMap<K, u32> = model.0.iter().rev().copied().collect();
+    prop_assert!(map == rebuilt);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn detmap_grows_and_churns_over_hundreds_of_keys(wide in wide_steps()) {
+        let (size, offset, ops) = wide;
+        wide_map_matches_model(size, offset, &ops, |k| k)?;
+    }
+
+    #[test]
+    fn detmap_with_colliding_hashes_grows_and_churns(wide in wide_steps()) {
+        let (size, offset, ops) = wide;
+        wide_map_matches_model(size, offset, &ops, Collide)?;
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -328,13 +433,13 @@ proptest! {
 
     #[test]
     fn detmap_with_colliding_hashes_matches_the_model(ops in steps()) {
-        map_matches_model(&ops, Collide)?;
+        map_matches_model(&ops, collide)?;
     }
 
     #[test]
     fn detmap_equality_is_content_based(ops_a in steps(), ops_b in steps(), target in contents()) {
         map_equality_is_content_based(&ops_a, &ops_b, &target, |k| k)?;
-        map_equality_is_content_based(&ops_a, &ops_b, &target, Collide)?;
+        map_equality_is_content_based(&ops_a, &ops_b, &target, collide)?;
     }
 
     #[test]
@@ -344,12 +449,12 @@ proptest! {
 
     #[test]
     fn detset_with_colliding_hashes_matches_the_model(ops in steps()) {
-        set_matches_model(&ops, Collide)?;
+        set_matches_model(&ops, collide)?;
     }
 
     #[test]
     fn detset_equality_is_content_based(ops_a in steps(), ops_b in steps(), target in contents()) {
         set_equality_is_content_based(&ops_a, &ops_b, &target, |k| k)?;
-        set_equality_is_content_based(&ops_a, &ops_b, &target, Collide)?;
+        set_equality_is_content_based(&ops_a, &ops_b, &target, collide)?;
     }
 }

@@ -145,7 +145,7 @@ impl LatencyHistogram {
 }
 
 /// Aggregated simulation metrics.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Clone, Default, PartialEq)]
 pub struct SimMetrics {
     /// Messages handed to the network.
     pub messages_sent: u64,
@@ -217,6 +217,10 @@ pub struct SimMetrics {
     pub sync_retries: u64,
     /// Rejoins that completed: the site returned to `Serving`.
     pub rejoins_completed: u64,
+    /// Rejoins given up for good: a write quorum holding the wiped site
+    /// has no other member, so no mate can restore its writes and the
+    /// site stays `Syncing` (counted once per outage).
+    pub rejoins_abandoned: u64,
     /// Total wall-clock (simulated) time spent between recovery and
     /// re-entering service, summed over completed rejoins.
     pub rejoin_time_total: SimDuration,
@@ -363,6 +367,78 @@ impl SimMetrics {
     }
 }
 
+/// Prints what `#[derive(Debug)]` would, except that `rejoins_abandoned`
+/// shows only once it is non-zero: pinned transcripts hash this text for
+/// runs that abandon no rejoin, and a new line there would move them.
+impl fmt::Debug for SimMetrics {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        macro_rules! debug_fields {
+            ([$($before:ident),*], [$($after:ident),*]) => {{
+                // No `..`: a field added to the struct fails to compile
+                // here until it is printed.
+                let SimMetrics { $($before,)* rejoins_abandoned, $($after,)* } = self;
+                let mut d = f.debug_struct("SimMetrics");
+                $(d.field(stringify!($before), $before);)*
+                if *rejoins_abandoned > 0 {
+                    d.field("rejoins_abandoned", rejoins_abandoned);
+                }
+                $(d.field(stringify!($after), $after);)*
+                d.finish()
+            }};
+        }
+        debug_fields!(
+            [
+                messages_sent,
+                dropped_partition,
+                dropped_loss,
+                messages_delivered,
+                messages_to_dead,
+                reads_ok,
+                reads_failed,
+                writes_ok,
+                writes_failed,
+                txns_ok,
+                txns_failed,
+                site_requests,
+                read_quorum_hits,
+                write_quorum_hits,
+                version_quorum_hits,
+                batches_sent,
+                batched_payloads,
+                repairs_sent,
+                repairs_applied,
+                repairs_ignored_stale,
+                messages_refused_syncing,
+                sync_violations,
+                sync_sessions,
+                sync_restarts,
+                sync_ranges_compared,
+                sync_keys_transferred,
+                sync_retries,
+                rejoins_completed
+            ],
+            [
+                rejoin_time_total,
+                reconfigurations,
+                migration_writes,
+                timeouts_fired,
+                retries_read,
+                retries_prepare,
+                retries_commit,
+                suspicions_raised,
+                suspicions_cleared,
+                aborts_exhausted,
+                aborts_conflict,
+                aborts_no_quorum,
+                aborts_reconfig,
+                latency_histogram,
+                total_latency,
+                latency_samples
+            ]
+        )
+    }
+}
+
 impl fmt::Display for SimMetrics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -420,6 +496,16 @@ mod tests {
             let (other_counts, other_map) = counted(&others);
             prop_assert_eq!(other_counts == counts, other_map == map);
         }
+    }
+
+    #[test]
+    fn debug_shows_abandoned_rejoins_only_when_there_are_some() {
+        let mut m = SimMetrics::default();
+        assert!(!format!("{m:?}").contains("rejoins_abandoned"));
+        m.rejoins_abandoned = 1;
+        assert!(format!("{m:#?}").contains(
+            "    rejoins_completed: 0,\n    rejoins_abandoned: 1,\n    rejoin_time_total:"
+        ));
     }
 
     #[test]

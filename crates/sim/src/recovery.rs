@@ -40,12 +40,15 @@
 //! target write quorum, so the sources also meet the target's write
 //! quorums. A single-site write quorum `W = {site}` (for example the
 //! physical root of `p:1-3`) has no mate: its writes lived only on the
-//! wiped store, so the rejoin waits (every read quorum needs that site
-//! as well). In-flight 2PC commits the site may have lost the stage
-//! for still apply because [`Payload::Commit`] carries the decided value
-//! and timestamp; a commit it had acknowledged before the wipe is expected
-//! from it again once it recovers, so that write cannot complete without
-//! it. A session ends only once every divergent range has been filled,
+//! wiped store, so the rejoin is abandoned and the site stays `Syncing`
+//! for the rest of the run (every read quorum needs that site as well).
+//! The wait is structural, not transient, so no retry timer is armed for
+//! it; [`SimMetrics::rejoins_abandoned`] counts it. A reconfiguration
+//! that starts later does not revive such a rejoin. In-flight 2PC
+//! commits the site may have lost the stage for still apply because
+//! [`Payload::Commit`] carries the decided value and timestamp; a commit
+//! it had acknowledged before the wipe is expected from it again once it
+//! recovers, so that write cannot complete without it. A session ends only once every divergent range has been filled,
 //! and a fill carries every committed item the source holds in its range,
 //! however large the range; the rejoiner installs them timestamp-guarded,
 //! so nothing newer is regressed.
@@ -56,6 +59,7 @@
 //! [`Payload::RangeFill`]: crate::Payload::RangeFill
 //! [`RetryPolicy`]: crate::RetryPolicy
 //! [`FILL_BUDGET`]: arbitree_sync::FILL_BUDGET
+//! [`SimMetrics::rejoins_abandoned`]: crate::SimMetrics::rejoins_abandoned
 
 use crate::config::{RetryPolicy, SimConfig};
 use crate::engine::Engine;
@@ -119,6 +123,9 @@ struct RejoinState {
     epoch: u64,
     /// When the site recovered (for rejoin-latency accounting).
     started: SimTime,
+    /// Whether the rejoin was given up (a write quorum holding the site
+    /// has no other member); feeds only the abandoned-rejoin count.
+    abandoned: bool,
 }
 
 /// Drives every in-flight rejoin. A sibling layer of the engine and the
@@ -181,11 +188,12 @@ impl RejoinManager {
         target: Option<&dyn ReplicaControl>,
         site: SiteId,
     ) {
-        let started = match self.states.get(&site) {
+        let (started, abandoned) = match self.states.get(&site) {
             // A transient crash interrupted this rejoin; keep the original
-            // start time so rejoin latency measures the whole outage tail.
-            Some(state) => state.started,
-            None => engine.now(),
+            // start time so rejoin latency measures the whole outage tail,
+            // and count an abandoned outage once.
+            Some(state) => (state.started, state.abandoned),
+            None => (engine.now(), false),
         };
         let epoch = self.next_epoch;
         self.next_epoch += 1;
@@ -197,6 +205,7 @@ impl RejoinManager {
                 attempt: 0,
                 epoch,
                 started,
+                abandoned,
             },
         );
         self.restart(engine, shards, target, site);
@@ -205,7 +214,8 @@ impl RejoinManager {
     /// (Re)assembles the source list under the shards' structures and,
     /// while a live reconfiguration runs, its `target`'s (see
     /// [`write_mate_sources`]), and opens a fresh session. Called on
-    /// recovery and whenever the current source stops serving.
+    /// recovery and whenever the current source stops serving. Abandons
+    /// the rejoin instead when some write quorum is the site alone.
     fn restart(
         &mut self,
         engine: &mut Engine,
@@ -213,13 +223,28 @@ impl RejoinManager {
         target: Option<&dyn ReplicaControl>,
         site: SiteId,
     ) {
-        let serving = engine.serving_sites();
-        let protocols = (0..shards.shard_count())
-            .map(|i| shards.get(i))
-            .chain(target);
-        let sources = write_mate_sources(protocols, site, &serving, &mut engine.rng);
+        let protocols = || {
+            (0..shards.shard_count())
+                .map(|i| shards.get(i))
+                .chain(target)
+        };
         // arbitree-lint: allow(D005) — every caller inserted the state first
         let state = self.states.get_mut(&site).expect("rejoin state exists");
+        let alone =
+            |p: &dyn ReplicaControl| p.write_quorums().any(|w| w.len() == 1 && w.contains(site));
+        if protocols().any(alone) {
+            // A write quorum is the site alone: its writes lived only on
+            // the wiped store and no mate can restore them, so waiting
+            // would never end. Arm nothing.
+            state.sources = Vec::new();
+            if !state.abandoned {
+                state.abandoned = true;
+                engine.metrics.rejoins_abandoned += 1;
+            }
+            return;
+        }
+        let serving = engine.serving_sites();
+        let sources = write_mate_sources(protocols(), site, &serving, &mut engine.rng);
         match sources {
             // No write quorum contains the site: it owes nothing.
             Some(sources) if sources.is_empty() => self.complete(engine, site),

@@ -11,7 +11,7 @@
 //! scanning (or shipping) the full store, and ship a sparse or
 //! requester-empty range whole ([`Storage::fill`]). Only a rejoining site or a sync
 //! source ever reads the tree, so it is maintained lazily: installs append
-//! `(key, item_hash)` to a log, and the log is applied on the next digest
+//! their key to a log, and the log is applied on the next digest
 //! read ([`Storage::htree`], which takes `&mut self` so no reader can see a
 //! stale tree) or once it outgrows twice the committed map. The root
 //! aggregate — the one part of the tree that `Debug` (and so the model
@@ -73,8 +73,10 @@ pub struct Storage {
     /// writes are invisible to it: only durable, committed state takes
     /// part in anti-entropy).
     htree: HTree,
-    /// `(key, item_hash)` of every install since the last flush, in order.
-    log: Vec<(u32, u64)>,
+    /// The key of every install since the last flush. The tree is a
+    /// function of the committed map, so a flush reads each key's item
+    /// hash from there.
+    log: Vec<u32>,
     /// The tree's root aggregate over the *current* committed map.
     root: NodeAgg,
 }
@@ -112,11 +114,6 @@ impl Storage {
         self.committed.get(&obj).cloned().unwrap_or_default()
     }
 
-    /// The committed timestamp of `obj` (zero if never written).
-    fn committed_ts(&self, obj: ObjectId) -> Timestamp {
-        self.committed.get(&obj).map_or(Timestamp::ZERO, |v| v.ts)
-    }
-
     /// The cumulated-hash range tree over the committed keyspace, brought
     /// up to date first.
     pub fn htree(&mut self) -> &HTree {
@@ -138,41 +135,57 @@ impl Storage {
         items
     }
 
-    /// Applies the install log to the tree. Only the last install of each
-    /// key matters (the tree is a function of the final item map), so the
-    /// log is sorted by key — stably, keeping install order within a key —
-    /// and each key is applied once.
+    /// Applies the install log to the tree. The tree is a function of the
+    /// committed map, so each logged key is applied once, with the item
+    /// hash of its committed version now.
     fn flush(&mut self) {
-        self.log.sort_by_key(|&(key, _)| key);
-        for (i, &(key, hash)) in self.log.iter().enumerate() {
-            if self.log.get(i + 1).is_none_or(|&(next, _)| next != key) {
-                self.htree.insert(key, hash);
+        self.log.sort_unstable();
+        self.log.dedup();
+        for &key in &self.log {
+            let obj = ObjectId(key);
+            // Every logged key is committed: only a wipe removes a key, and
+            // it empties the log as well.
+            if let Some(version) = self.committed.get(&obj) {
+                self.htree.insert(key, version.item_hash(obj));
             }
         }
         self.log.clear();
         debug_assert_eq!(self.htree.digest(Range::ROOT), self.root);
     }
 
-    /// Installs `value` at `ts` into the committed map, updates the root
-    /// aggregate and logs the item for the range tree. Every committed-map
-    /// write funnels through here so the tree can never drift from the
-    /// store.
-    fn install(&mut self, obj: ObjectId, value: Bytes, ts: Timestamp) {
-        let version = Version { value, ts };
-        let hash = version.item_hash(obj);
-        match self.committed.insert(obj, version) {
-            Some(old) => self.root.hash ^= old.item_hash(obj) ^ hash,
-            None => {
-                self.root.hash ^= hash;
-                self.root.count += 1;
-            }
+    /// Installs `value` at `ts` when it is newer than the committed version
+    /// of `obj` (the zero version if never written), in one committed-map
+    /// probe; updates the root aggregate and logs the key for the range
+    /// tree. Returns whether it installed. Every committed-map write
+    /// funnels through here so the tree can never drift from the store.
+    fn install(&mut self, obj: ObjectId, value: Bytes, ts: Timestamp) -> bool {
+        // Nothing is older than a never-written key's zero version.
+        if ts <= Timestamp::ZERO {
+            return false;
         }
-        self.log.push((obj.0, hash));
+        let mut fresh = false;
+        let current = self.committed.entry(obj).or_insert_with(|| {
+            fresh = true;
+            Version::default()
+        });
+        if ts <= current.ts {
+            return false;
+        }
+        let version = Version { value, ts };
+        self.root.hash ^= version.item_hash(obj);
+        if fresh {
+            self.root.count += 1;
+        } else {
+            self.root.hash ^= current.item_hash(obj);
+        }
+        *current = version;
+        self.log.push(obj.0);
         // Bounds the log at O(store); flushing by key does at most the work
         // an eager tree would have done for the same installs.
         if self.log.len() > 2 * self.committed.len() {
             self.flush();
         }
+        true
     }
 
     /// Stages a write (2PC phase 1). Re-staging by the same operation is
@@ -206,9 +219,7 @@ impl Storage {
     /// replays are idempotent.
     pub fn commit(&mut self, obj: ObjectId, op: OpId, value: Bytes, ts: Timestamp) {
         self.abort(obj, op);
-        if ts > self.committed_ts(obj) {
-            self.install(obj, value, ts);
-        }
+        self.install(obj, value, ts);
     }
 
     /// Discards the staged write of `op`, if present.
@@ -226,12 +237,7 @@ impl Storage {
     /// whether the value was applied (`false`: the local copy was already
     /// at least as new).
     pub fn repair(&mut self, obj: ObjectId, value: Bytes, ts: Timestamp) -> bool {
-        if ts > self.committed_ts(obj) {
-            self.install(obj, value, ts);
-            true
-        } else {
-            false
-        }
+        self.install(obj, value, ts)
     }
 
     /// An amnesia crash: all durable state — committed versions, staged

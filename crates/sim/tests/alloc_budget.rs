@@ -1,5 +1,5 @@
 //! Heap allocations per committed operation on the steady-state path,
-//! and per repeated simulation set-up.
+//! per repeated simulation set-up, and the peak live heap of a run.
 //!
 //! A counting global allocator wraps the system one. Counting is per
 //! thread, so the harness's other test threads do not leak into a count.
@@ -8,21 +8,29 @@
 //! size), then counts every allocation until the run's end and divides by
 //! the operations committed inside that window; another counts the
 //! allocations and bytes of a repeat build, the work perfbench's `setup_s`
-//! times on every build after a thread's first.
+//! times on every build after a thread's first. On the keyspace-batch
+//! shape a third test tracks the bytes allocated and not yet freed from
+//! the start of a build to the end of its run, and gates their peak.
 //!
 //! The counts are deterministic for a given seed and build, so the budgets
 //! are hard bounds, not statistical ones, each just above its measured
-//! count (0.01, 0.19 and 0.17 allocations per op). The same windows cost
+//! count (0.01, 0.18 and 0.07 allocations per op). The same windows cost
 //! 11.9, 22.8 and 10.4 before transaction records, envelopes and lock
 //! states were recycled and short values were stored inline, and 1.50,
 //! 1.69 and 2.94 while each picked quorum was still a sorted `Vec`. The
 //! churn window cost 0.93 while rejoins descended every divergent range to
 //! 16-key leaves and built fresh probe and key buffers at every step.
 //!
-//! A repeat build measures 62, 135 and 51 allocations (10,048, 65,005 and
-//! 41,513 bytes). It cost 70, 235 and 60 allocations (10,240, 67,405 and
+//! A repeat build measures 62, 135 and 51 allocations (9,784, 63,333 and
+//! 41,249 bytes). It cost 70, 235 and 60 allocations (10,240, 67,405 and
 //! 565,993 bytes) while every replica's range tree kept its levels in a
-//! `Vec` and every Zipfian build recomputed its 512 KiB key table.
+//! `Vec` and every Zipfian build recomputed its 512 KiB key table, and
+//! 10,048, 65,005 and 41,513 bytes while `DetMap`'s index was a `HashMap`.
+//!
+//! The keyspace-batch run peaks at 3,421,336 live bytes (3.26 MiB). It
+//! peaked at 4,600,512 (4.39 MiB) while `DetMap`'s index stored a second
+//! copy of every key and the range-tree install log kept an item hash
+//! beside each key.
 
 use arbitree_core::{builder, ArbitraryProtocol, ArbitraryTree};
 use arbitree_quorum::ReplicaControl;
@@ -37,21 +45,48 @@ thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
 /// Counts `alloc`, `alloc_zeroed` and `realloc` calls made by a thread
 /// while its `COUNTING` flag is set, and sums the bytes they ask for (a
-/// `realloc` counts its new size).
+/// `realloc` counts its new size). It also keeps the thread's live bytes
+/// over the same window, and their peak: `alloc` and `alloc_zeroed` add
+/// their size, `dealloc` subtracts it, and `realloc` adds the difference.
+/// Freeing what was allocated before the window drives the live count
+/// below zero, never the peak.
 struct CountingAllocator;
 
 impl CountingAllocator {
-    fn note(bytes: usize) {
+    /// Records a call that asks for `asked` bytes and changes the live
+    /// bytes by `live`.
+    fn note(asked: usize, live: i64) {
         // `try_with` so an allocation during thread teardown, after the
         // thread-locals are gone, is simply not counted.
         let _ = COUNTING.try_with(|on| {
             if on.get() {
                 ALLOCATIONS.with(|n| n.set(n.get() + 1));
-                BYTES.with(|n| n.set(n.get() + bytes as u64));
+                BYTES.with(|n| n.set(n.get() + asked as u64));
+                Self::live(live);
+            }
+        });
+    }
+
+    /// Moves the live bytes by `delta` and raises the peak to match.
+    fn live(delta: i64) {
+        let now = LIVE.with(|n| {
+            n.set(n.get() + delta);
+            n.get()
+        });
+        PEAK.with(|p| p.set(p.get().max(now)));
+    }
+
+    /// Records a `dealloc` of `bytes`.
+    fn free(bytes: usize) {
+        let _ = COUNTING.try_with(|on| {
+            if on.get() {
+                Self::live(-(bytes as i64));
             }
         });
     }
@@ -63,21 +98,22 @@ impl CountingAllocator {
 // allocate and so cannot re-enter the allocator.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        Self::note(layout.size());
+        Self::note(layout.size(), layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        Self::note(layout.size());
+        Self::note(layout.size(), layout.size() as i64);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        Self::note(new_size);
+        Self::note(new_size, new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        Self::free(layout.size());
         System.dealloc(ptr, layout)
     }
 }
@@ -146,6 +182,26 @@ fn repeat_setup(build: fn() -> Simulation) -> (u64, u64) {
         counts.0, counts.1
     );
     counts
+}
+
+/// The peak live heap, in bytes, of building `build` and running it to its
+/// end. Everything the simulation holds is allocated inside the window,
+/// so the peak is its whole footprint at its largest.
+fn peak_live_bytes(build: fn() -> Simulation) -> i64 {
+    LIVE.with(|n| n.set(0));
+    PEAK.with(|n| n.set(0));
+    COUNTING.with(|on| on.set(true));
+    let mut sim = build();
+    let report = sim.run();
+    COUNTING.with(|on| on.set(false));
+    assert!(report.consistent, "{} violations", report.violations);
+    drop(sim);
+    let peak = PEAK.with(Cell::get);
+    println!(
+        "peak live heap: {peak} bytes ({:.2} MiB)",
+        peak as f64 / (1 << 20) as f64
+    );
+    peak
 }
 
 fn shards(tree: &ArbitraryTree, count: usize) -> Vec<Box<dyn ReplicaControl>> {
@@ -268,4 +324,10 @@ fn hot_churn_repeat_setup_stays_within_budget() {
     let (allocations, bytes) = repeat_setup(hot_churn);
     assert!(allocations <= 55, "{allocations} allocations");
     assert!(bytes <= 44_000, "{bytes} bytes");
+}
+
+#[test]
+fn keyspace_batch_peak_live_heap_stays_within_budget() {
+    let peak = peak_live_bytes(keyspace_batch);
+    assert!(peak <= 3_500_000, "{peak} bytes");
 }

@@ -315,19 +315,27 @@ fn a_site_in_no_write_quorum_serves_at_once() {
 fn a_wiped_single_site_level_waits_for_good() {
     // On `p:1-3` the physical root {0} is a write quorum of its own. Its
     // writes lived only on the wiped store, so no mate can restore them:
-    // the rejoin keeps re-probing and the site never serves again. Every
-    // read quorum needs the root too, so a read-quorum source rule waits
-    // the same way.
+    // the rejoin is abandoned at once, with no retry timer, and the site
+    // never serves again. Every read quorum needs the root too, so a
+    // read-quorum source rule would wait the same way. A transient crash
+    // during the wait restarts the rejoin, which is abandoned again but
+    // counted once.
     let mut sim = Simulation::new(config(29), ArbitraryProtocol::parse("p:1-3").unwrap());
     sim.schedule_amnesia_crash(SimTime::from_millis(50), SiteId::new(0));
     sim.schedule_recover(SimTime::from_millis(120), SiteId::new(0));
+    sim.schedule_crash(SimTime::from_millis(200), SiteId::new(0));
+    sim.schedule_recover(SimTime::from_millis(230), SiteId::new(0));
     let report = sim.run();
     assert!(report.consistent, "violations: {}", report.violations);
     let m = &report.metrics;
     assert_eq!(m.sync_violations, 0);
     assert_eq!(m.rejoins_completed, 0, "{m}");
     assert_eq!(m.sync_sessions, 0, "{m}");
-    assert!(m.sync_retries > 0, "expected re-probes ({m})");
+    assert_eq!(
+        m.sync_retries, 0,
+        "no re-probes of a structural wait ({m:?})"
+    );
+    assert_eq!(m.rejoins_abandoned, 1, "{m:?}");
     assert!(sim.rejoin().is_rejoining(SiteId::new(0)));
     assert!(!sim.sites()[0].is_serving());
 }
