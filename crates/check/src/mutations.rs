@@ -76,15 +76,26 @@ impl Mutation {
             Mutation::Fault(FaultInjection::StaleCommitAck) => Scenario::write_then_read(),
             Mutation::Fault(FaultInjection::KeepLocksOnAbort) => Scenario::crash_abort(),
             Mutation::Fault(FaultInjection::EarlyLockRelease) => Scenario::write_read_race(),
+            Mutation::Fault(FaultInjection::ForgetWipedAcks) => Scenario::wipe_during_commit(),
+        }
+    }
+
+    /// Depth of the kill search on [`Mutation::scenario`]: the scenario's
+    /// smoke depth unless the kill needs more. For an exhaustive-tier
+    /// scenario that is its drainable depth, so a kill is a violation
+    /// inside the envelope the unmutated exploration exhausts, and deeper
+    /// bounds only feed the DFS an unbounded retry-cycle tail to drown in.
+    /// The depth is the search's own: the audit walks the same scenario at
+    /// the scenario's depth, so deepening a kill search moves no audit
+    /// count.
+    pub fn kill_depth(&self) -> usize {
+        match self {
             // The stale read is step 44 and the violation shows at step 46,
             // when that read completes. The search runs 4 steps past it,
             // so one more event before it (an extra tick, a reordered
-            // retry) cannot push the kill out of the budget. The scenario
-            // itself keeps depth 44, where the audit walks it.
-            Mutation::Fault(FaultInjection::ForgetWipedAcks) => Scenario {
-                smoke_depth: 50,
-                ..Scenario::wipe_during_commit()
-            },
+            // retry) cannot push the kill out of the budget.
+            Mutation::Fault(FaultInjection::ForgetWipedAcks) => 50,
+            _ => self.scenario().smoke_depth,
         }
     }
 
@@ -122,13 +133,8 @@ pub struct KillResult {
 /// explorer killed it.
 pub fn kill_one(mutation: &Mutation, budget: Budget) -> KillResult {
     let scenario = mutation.scenario();
-    // Search at the target's smoke depth, whatever the budget's: for an
-    // exhaustive-tier scenario that is its drainable depth, so a kill is
-    // a violation inside the envelope the unmutated exploration exhausts,
-    // and deeper bounds only feed the DFS an unbounded retry-cycle tail to
-    // drown in. A bounded-tier target may set it past the smoke budget's
-    // depth to leave its kill headroom.
-    let budget = budget.with_depth(scenario.smoke_depth);
+    // Search at the mutation's kill depth, whatever the budget's.
+    let budget = budget.with_depth(mutation.kill_depth());
     let outcome = explore(&scenario, Some(mutation), budget);
     KillResult {
         mutation: mutation.name(),

@@ -339,6 +339,50 @@ impl Scenario {
         }
     }
 
+    /// A two-object transfer races a reader of both objects, unbatched,
+    /// with the objects on different shards (0 and 2, as in
+    /// [`Scenario::cross_shard`]): each transaction reads both of its
+    /// objects in one round, one `ReadReq` per quorum member and object,
+    /// and the transfer then prepares and commits both writes together.
+    /// The reader must see each object's value either before the transfer
+    /// or after it. Like `cross-shard`, `smoke_depth`/`full_depth` are
+    /// drain depths for the object-independence ablation.
+    pub fn transfer() -> Scenario {
+        Scenario {
+            name: "transfer",
+            spec: "1-3",
+            clients: 2,
+            objects: 3,
+            shards: 2,
+            max_attempts: 3,
+            script: vec![
+                step(
+                    0,
+                    0,
+                    TxnRequest {
+                        reads: Vec::new(),
+                        writes: vec![(obj(0), val(b"debit")), (obj(2), val(b"credit"))],
+                    },
+                ),
+                step(
+                    0,
+                    1,
+                    TxnRequest {
+                        reads: vec![obj(0), obj(2)],
+                        writes: Vec::new(),
+                    },
+                ),
+            ],
+            crashes: vec![],
+            amnesia: vec![],
+            recovers: vec![],
+            smoke_depth: 8,
+            full_depth: 10,
+            batching: false,
+            read_repair: false,
+        }
+    }
+
     /// A writer and a reader race across an *amnesia* crash of a leaf on
     /// the 4-site two-level tree (`p:1-3`): the recovery re-enters through
     /// the staged `Syncing` rejoin, so exploration covers every
@@ -475,6 +519,7 @@ impl Scenario {
             Scenario::wipe_during_commit(),
             Scenario::batched_repair(),
             Scenario::cross_shard(),
+            Scenario::transfer(),
         ]
     }
 

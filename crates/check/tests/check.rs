@@ -92,12 +92,15 @@ fn batched_repair_bounded_exploration_is_pinned() {
 
 // Explored-state and schedule counts at the budgets above. The
 // fingerprint deduplicates states, so a change to what it hashes (or to
-// the coordinator's behaviour) moves these counts.
+// the coordinator's behaviour) moves these counts. The batched states
+// were re-taken once (53,787 -> 60,018) when a read retry began re-sending
+// only the objects still owed a response and keeping the responses
+// already gathered: a premature timeout now leads to other states.
 const PIN_SINGLE_STATES: u64 = 25221;
 const PIN_SINGLE_SCHEDULES: u64 = 73450;
 const PIN_TWO_STATES: u64 = 10546;
 const PIN_TWO_SCHEDULES: u64 = 34477;
-const PIN_BATCHED_STATES: u64 = 53787;
+const PIN_BATCHED_STATES: u64 = 60018;
 const PIN_BATCHED_SCHEDULES: u64 = 100000;
 
 #[test]
@@ -164,7 +167,7 @@ fn stale_commit_ack_kill_reports_a_stale_read() {
 
 #[test]
 fn forget_wiped_acks_kill_has_depth_headroom() {
-    // The kill search runs at its target's smoke depth; one more event
+    // The kill search runs at the mutation's kill depth; one more event
     // before the stale read (an extra tick, a reordered retry) must not
     // push the violation past it.
     let m = Mutation::Fault(FaultInjection::ForgetWipedAcks);
@@ -172,7 +175,7 @@ fn forget_wiped_acks_kill_has_depth_headroom() {
     assert!(r.killed);
     assert_eq!(r.kind, "consistency");
     let steps = r.violation.unwrap().schedule.len();
-    let depth = m.scenario().smoke_depth;
+    let depth = m.kill_depth();
     assert!(
         steps + 4 <= depth,
         "the violation shows at step {steps} of a {depth}-step search"
@@ -181,11 +184,29 @@ fn forget_wiped_acks_kill_has_depth_headroom() {
 
 #[test]
 fn cross_shard_ablation_drains_with_refined_fewest_schedules() {
-    let s = Scenario::cross_shard();
+    drain_ablation(&Scenario::cross_shard());
+}
+
+/// The unbatched two-object transfer against a reader of both objects,
+/// across shards: every ablation mode drains clean at the drain depth,
+/// and the counts are pinned.
+#[test]
+fn transfer_drains_clean_with_pinned_counts() {
+    assert_eq!(drain_ablation(&Scenario::transfer()), PIN_TRANSFER_DRAIN);
+}
+
+// Schedules to drain `transfer` at its smoke depth: refined, site-only,
+// naive.
+const PIN_TRANSFER_DRAIN: [u64; 3] = [8239, 8731, 15596];
+
+/// Explores `s` at its drain depth under the refined, site-only and naive
+/// relations; each must drain without a violation, in strictly fewer
+/// schedules the finer the relation. Returns the three schedule counts.
+fn drain_ablation(s: &Scenario) -> [u64; 3] {
     let b = test_budget(s.smoke_depth);
-    let refined = explore(&s, None, b);
-    let coarse = explore(&s, None, b.coarse());
-    let naive = explore(&s, None, b.naive());
+    let refined = explore(s, None, b);
+    let coarse = explore(s, None, b.coarse());
+    let naive = explore(s, None, b.naive());
     for (name, out) in [
         ("refined", &refined),
         ("coarse", &coarse),
@@ -212,4 +233,9 @@ fn cross_shard_ablation_drains_with_refined_fewest_schedules() {
         coarse.stats.schedules,
         naive.stats.schedules
     );
+    [
+        refined.stats.schedules,
+        coarse.stats.schedules,
+        naive.stats.schedules,
+    ]
 }

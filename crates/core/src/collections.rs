@@ -434,8 +434,47 @@ impl<K: Eq + Hash, V> DetMap<K, V> {
         let Probe::Found { bucket, slot } = self.probe(key).1 else {
             return None;
         };
-        self.index.remove(bucket);
         let (_, value) = self.slots[slot].take()?;
+        self.unlink(bucket);
+        Some(value)
+    }
+
+    /// Reads, changes, fills or empties the entry under `key` in one
+    /// probe: `f` gets its value (`None` when absent) and may change it,
+    /// and the map then keeps, inserts or removes the entry to match —
+    /// in place, appended last, or tombstoned, as [`DetMap::insert`] and
+    /// [`DetMap::remove`] would. Returns what `f` returns.
+    #[inline]
+    pub fn update<R>(&mut self, key: K, f: impl FnOnce(&mut Option<V>) -> R) -> R {
+        match self.probe(&key) {
+            (_, Probe::Found { bucket, slot }) => {
+                let Some((key, value)) = self.slots[slot].take() else {
+                    unreachable!("the index points at live slots only")
+                };
+                let mut value = Some(value);
+                let out = f(&mut value);
+                match value {
+                    Some(value) => self.slots[slot] = Some((key, value)),
+                    None => self.unlink(bucket),
+                }
+                out
+            }
+            (tag, Probe::Vacant { bucket }) => {
+                let mut value = None;
+                let out = f(&mut value);
+                if let Some(value) = value {
+                    self.push(bucket, tag, key, value);
+                }
+                out
+            }
+        }
+    }
+
+    /// Drops `bucket` from the index once its slot has been emptied, then
+    /// trims trailing tombstones and compacts if tombstones outnumber live
+    /// entries.
+    fn unlink(&mut self, bucket: usize) {
+        self.index.remove(bucket);
         // Trailing tombstones can go at once: no live slot lies above them.
         while matches!(self.slots.last(), Some(None)) {
             self.slots.pop();
@@ -443,7 +482,6 @@ impl<K: Eq + Hash, V> DetMap<K, V> {
         if self.slots.len() - self.index.len > self.index.len {
             self.compact();
         }
-        Some(value)
     }
 
     /// Drops every tombstone and rebuilds the index over the packed slots,

@@ -1,4 +1,4 @@
-//! Model-based test of `DetMap`: random insert/remove/get/entry/clear
+//! Model-based test of `DetMap`: random insert/remove/get/entry/update/clear
 //! sequences run against a naive insertion-ordered `Vec` model. Removal
 //! tombstones slots and compacts them in batches, so the sequences are long
 //! enough, over few enough keys, to cross many compactions. A second set
@@ -138,11 +138,41 @@ fn map_matches_model<K: Key>(ops: &[(u8, u8, u32)], key: fn(u8) -> K) -> TestCas
                     model.0[i].1 ^= v;
                 }
             }
+            // Rare: most sequences run long without a reset.
+            _ if v % 8 == 0 => {
+                map.clear();
+                model.0.clear();
+            }
             _ => {
-                // Rare: most sequences run long without a reset.
-                if v % 8 == 0 {
-                    map.clear();
-                    model.0.clear();
+                // One probe that empties, fills, keeps or conditionally
+                // replaces the entry, as `v` picks.
+                let before = model.get(k);
+                let seen = map.update(k, |slot| {
+                    let seen = *slot;
+                    match v % 4 {
+                        0 => *slot = None,
+                        1 => *slot = Some(v),
+                        2 => {}
+                        _ => {
+                            if slot.is_none_or(|x| x < v) {
+                                *slot = Some(v);
+                            }
+                        }
+                    }
+                    seen
+                });
+                prop_assert_eq!(seen, before, "update at {}", step);
+                let replace = match v % 4 {
+                    0 => {
+                        model.remove(k);
+                        false
+                    }
+                    1 => true,
+                    2 => false,
+                    _ => before.is_none_or(|x| x < v),
+                };
+                if replace {
+                    model.insert(k, v);
                 }
             }
         }

@@ -118,8 +118,10 @@ pub struct SimConfig {
     pub shards: usize,
     /// Coalesce same-destination protocol messages issued while handling
     /// one event into a single [`crate::Payload::Batch`] envelope (one
-    /// network round-trip amortized across keys). Off by default: the
-    /// unbatched path is byte-identical to the pre-batching simulator.
+    /// network round-trip amortized across keys). It decides only how
+    /// payloads travel: either way a transaction reads all of its objects
+    /// in one round and prepares and commits them together, and with it
+    /// off every payload is a message of its own. Off by default.
     pub batching: bool,
     /// How clients pick objects.
     pub object_distribution: ObjectDistribution,

@@ -1,7 +1,7 @@
 //! The coordinator layer: the transaction state machine.
 //!
 //! [`Coordinator`] owns everything transactional — the strict-2PL lock
-//! manager, the per-transaction phase machines (lock wait → read rounds →
+//! manager, the per-transaction phase machines (lock wait → read round →
 //! 2PC prepare → 2PC commit), the one-copy consistency checker, the
 //! workload generators, and the live-reconfiguration state machine. It is
 //! deliberately protocol-agnostic: every quorum decision goes through a
@@ -165,7 +165,6 @@ impl Coordinator {
             h.u64(u64::from(s.attempts));
             h.debug(&s.objects);
             h.u64(s.locks_held as u64);
-            h.u64(s.read_round as u64);
             h.debug(&s.pending);
             h.debug(&s.responses);
             h.debug(&s.is_migration);
@@ -424,7 +423,7 @@ impl Coordinator {
     }
 
     /// Acquires the next planned lock(s); when all are held, starts the
-    /// first read round.
+    /// read round.
     fn advance_locks(&mut self, engine: &mut Engine, shards: &mut ShardMap, op: OpId) {
         let Some(s) = self.ops.get_mut(&op) else {
             return;
@@ -468,36 +467,49 @@ impl Coordinator {
         self.granted = granted;
     }
 
-    /// Starts (or restarts) the read round at `read_round`: one object in
-    /// sequential mode, or — with [`SimConfig::batching`] on — every
-    /// remaining object at once, so that requests sharing a destination
-    /// site coalesce into one envelope. Each quorum is picked from its
-    /// object's own shard, in object order.
+    /// Starts the read phase: every object's read quorum, each picked from
+    /// its object's own shard in object order, gets its `ReadReq`s in this
+    /// one event (with [`SimConfig::batching`] on, requests sharing a
+    /// destination site coalesce into one envelope). A retry — the
+    /// transaction is already gathering — re-picks and re-sends only the
+    /// objects still owed a response; every best value and response
+    /// gathered so far stays.
     fn start_read_round(&mut self, engine: &mut Engine, shards: &mut ShardMap, op: OpId) {
         let Some(s) = self.ops.get_mut(&op) else {
             return;
         };
-        let round = s.read_round_range(self.config.batching);
+        let retry = s.phase == Phase::ReadGather;
         let client = &mut self.clients[s.client.0 as usize];
-        let picked = s.objects[round.clone()].iter_mut().all(|e| {
-            let protocol = shards.for_key(u64::from(e.obj.0));
-            match Self::pick_with_reprobe(client, engine, protocol, false) {
-                Some(q) => {
-                    e.read_quorum = q;
-                    true
+        let pending = &s.pending;
+        let picked = s
+            .objects
+            .iter_mut()
+            .filter(|e| !retry || pending.owes(e.obj))
+            .all(|e| {
+                let protocol = shards.for_key(u64::from(e.obj.0));
+                match Self::pick_with_reprobe(client, engine, protocol, false) {
+                    Some(q) => {
+                        e.read_quorum = q;
+                        true
+                    }
+                    None => false,
                 }
-                None => false,
-            }
-        });
+            });
         if !picked {
             self.fail_op(engine, shards, op, AbortCause::NoQuorum);
             return;
         }
-        s.phase = Phase::ReadGather;
-        s.pending.clear();
-        s.responses.clear();
-        for e in &s.objects[round] {
-            s.pending.add_quorum(e.obj, &e.read_quorum);
+        if !retry {
+            s.phase = Phase::ReadGather;
+            s.pending.clear();
+            s.responses.clear();
+        }
+        for e in &s.objects {
+            if !retry {
+                s.pending.add_quorum(e.obj, &e.read_quorum);
+            } else if !s.pending.replace_quorum(e.obj, &e.read_quorum) {
+                continue; // answered
+            }
             engine.send_to_sites(
                 s.client,
                 &e.read_quorum,
@@ -507,19 +519,17 @@ impl Coordinator {
         Self::arm_timeout(&self.config, engine, op, s);
     }
 
-    /// The read round finished: repair its stale responders, then start
-    /// the next round, or stamp the writes and enter the prepare phase, or
-    /// complete a read-only transaction.
+    /// The read phase finished: repair its stale responders, then stamp the
+    /// writes and enter the prepare phase, or complete a read-only
+    /// transaction.
     fn finish_read_round(&mut self, engine: &mut Engine, shards: &mut ShardMap, op: OpId) {
         let Some(s) = self.ops.get_mut(&op) else {
             return;
         };
-        let round = s.read_round_range(self.config.batching);
-        s.read_round = round.end;
         // Read-repair: the best value is committed (locks block writers), so
         // refreshing stale members is safe even if the txn later aborts.
         if self.config.read_repair {
-            for e in &s.objects[round] {
+            for e in &s.objects {
                 let Some((ts, value)) = &e.best else {
                     continue;
                 };
@@ -541,12 +551,10 @@ impl Coordinator {
                 }
             }
         }
-        if s.read_round < s.objects.len() {
-            self.start_read_round(engine, shards, op);
-        } else if s.objects.iter().any(TxnObject::is_write) {
+        if s.objects.iter().any(TxnObject::is_write) {
             // Each write goes one version past the greatest one its read
-            // round found. Mutation hook: SkipVersionBump reuses that
-            // timestamp verbatim, so committed versions stop advancing.
+            // found. Mutation hook: SkipVersionBump reuses that timestamp
+            // verbatim, so committed versions stop advancing.
             let sid = self.clients[s.client.0 as usize].sid;
             let skip_bump = matches!(self.config.fault, Some(FaultInjection::SkipVersionBump));
             for e in s.objects.iter_mut().filter(|e| e.is_write()) {
@@ -939,10 +947,11 @@ impl Coordinator {
         }
         match (&msg.payload, &state.phase) {
             (Payload::ReadResp { obj, value, ts, .. }, Phase::ReadGather) => {
-                // Acks are keyed by the round's objects, so a response for
-                // another round's object misses like a duplicate does.
+                // Acks are keyed by each object's current quorum, so a late
+                // response from a member a retry dropped misses like a
+                // duplicate does.
                 if !state.pending.remove(*obj, from) {
-                    return; // stale round, duplicate, or out-of-quorum
+                    return; // answered object, duplicate, or out-of-quorum
                 }
                 state.responses.push((*obj, from, *ts));
                 if let Some(e) = state.object_mut(*obj) {

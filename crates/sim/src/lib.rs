@@ -17,8 +17,8 @@
 //!
 //! * [`Engine`] — the discrete-event substrate: clock, event queue,
 //!   message transport, replica sites and their liveness, metrics, RNG;
-//! * [`Coordinator`] — the transaction layer: strict-2PL locking, quorum
-//!   read rounds with read-repair, two-phase commit, the one-copy
+//! * [`Coordinator`] — the transaction layer: strict-2PL locking, one
+//!   quorum read round with read-repair, two-phase commit, the one-copy
 //!   checker, workload generation, and live reconfiguration;
 //! * the protocol — held as a `Box<dyn `[`arbitree_quorum::ReplicaControl`]`>`,
 //!   so a run can migrate *between protocol families* at runtime.

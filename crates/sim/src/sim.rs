@@ -3,7 +3,7 @@
 //! * [`crate::engine::Engine`] — clock, event queue, transport, sites,
 //!   metrics, RNG (knows nothing about transactions);
 //! * [`crate::coordinator::Coordinator`] — clients running the §2.2
-//!   transaction model: strict-2PL locking, quorum read rounds with
+//!   transaction model: strict-2PL locking, one quorum read round with
 //!   read-repair, two-phase commit, the one-copy checker, and the live
 //!   reconfiguration state machine;
 //! * the **protocols**, held as a [`ShardMap`] of boxed

@@ -200,14 +200,14 @@ impl Storage {
     /// past, and must not replace the newer stage (the coordinator ignores
     /// votes for any timestamp but its current one).
     pub fn prepare(&mut self, obj: ObjectId, op: OpId, value: Bytes, ts: Timestamp) -> bool {
-        match self.staged.get(&obj) {
+        self.staged.update(obj, |stage| match stage {
             Some(existing) if existing.op != op && ts <= existing.ts => false,
             Some(existing) if ts < existing.ts => false,
             _ => {
-                self.staged.insert(obj, Staged { op, value, ts });
+                *stage = Some(Staged { op, value, ts });
                 true
             }
-        }
+        })
     }
 
     /// Applies the decided write of `op` (2PC phase 2): drops the
@@ -224,11 +224,11 @@ impl Storage {
 
     /// Discards the staged write of `op`, if present.
     pub fn abort(&mut self, obj: ObjectId, op: OpId) {
-        if let Some(staged) = self.staged.get(&obj) {
-            if staged.op == op {
-                self.staged.remove(&obj);
+        self.staged.update(obj, |stage| {
+            if stage.as_ref().is_some_and(|s| s.op == op) {
+                *stage = None;
             }
-        }
+        });
     }
 
     /// Read-repair / anti-entropy install: directly applies `value` at `ts`

@@ -5,9 +5,10 @@
 //! A transaction is one [`TxnState`]: a `Vec` of [`TxnObject`] entries,
 //! one per object it touches, plus the acknowledgements and read
 //! responses of the phase in progress. Every phase walks the entries in
-//! place — locks and read rounds in ascending object order (the entries'
-//! order), prepare, commit and completion in request order (through a
-//! permutation computed once per transaction). A finished record is
+//! place — locks and the read round in ascending object order (the
+//! entries' order), prepare, commit and completion in request order
+//! (through a permutation computed once per transaction). The read round
+//! covers every entry at once, batched or not. A finished record is
 //! recycled for a later transaction with its buffers' capacity intact.
 //!
 //! These types carry no behaviour of their own — the
@@ -23,14 +24,13 @@ use arbitree_core::{DetSet, Timestamp};
 use arbitree_quorum::{QuorumSet, ReplicaControl, SiteId};
 use bytes::Bytes;
 use std::fmt;
-use std::ops::Range;
 
 /// What a transaction is doing right now.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Phase {
     /// Acquiring its locks, in object order.
     LockWait,
-    /// Gathering read quorums' responses for the current read round.
+    /// Gathering every object's read-quorum responses.
     ReadGather,
     /// Gathering 2PC votes from every written object's write quorum.
     PrepareGather,
@@ -40,10 +40,10 @@ pub(crate) enum Phase {
 
 /// Coordinator state of one transaction.
 ///
-/// The read phase runs in rounds over consecutive entries starting at
-/// `read_round`: one entry per round in sequential mode, every remaining
-/// entry at once under [`crate::SimConfig::batching`]. Written objects get
-/// a read round too, for their current version.
+/// The read phase is one round over every entry, with
+/// [`crate::SimConfig::batching`] on or off; written objects are read
+/// too, for their current version. A read retry re-sends only the
+/// entries `pending` still owes.
 #[derive(Debug)]
 pub(crate) struct TxnState {
     pub(crate) client: ClientId,
@@ -54,20 +54,18 @@ pub(crate) struct TxnState {
     /// Quorum re-pick attempts consumed.
     pub(crate) attempts: u32,
     /// One entry per object, ascending by object: the lock plan and the
-    /// read-round order.
+    /// read order.
     pub(crate) objects: Vec<TxnObject>,
     /// Request order: `order[pos]` is the index in `objects` of the entry
     /// at request position `pos`. Derived from the entries' `pos`.
     pub(crate) order: Vec<usize>,
     /// How many of the entries' locks are held (a migration takes none).
     pub(crate) locks_held: usize,
-    /// Index of the first entry of the read round in progress.
-    pub(crate) read_round: usize,
     /// Outstanding `(object, site)` acknowledgements of the current phase:
     /// read responses, prepare votes or commit acks.
     pub(crate) pending: AckSet,
-    /// `(object, site, timestamp)` of every response of the current read
-    /// round, in arrival order (read-repair).
+    /// `(object, site, timestamp)` of every response of the read phase,
+    /// retries' included, in arrival order (read-repair).
     pub(crate) responses: Vec<(ObjectId, SiteId, Timestamp)>,
     /// Whether this is a reconfiguration-migration transaction.
     pub(crate) is_migration: bool,
@@ -84,7 +82,7 @@ pub(crate) struct TxnObject {
     pub(crate) pos: usize,
     /// Greatest-timestamp `(ts, value)` read so far.
     pub(crate) best: Option<(Timestamp, Bytes)>,
-    /// Read quorum of the object's latest read round.
+    /// Read quorum of the object's latest read attempt.
     pub(crate) read_quorum: QuorumSet,
     /// Value to write (empty for a read).
     pub(crate) value: Bytes,
@@ -134,7 +132,6 @@ impl TxnState {
             objects: Vec::new(),
             order: Vec::new(),
             locks_held: 0,
-            read_round: 0,
             pending: AckSet::default(),
             responses: Vec::new(),
             is_migration,
@@ -192,17 +189,6 @@ impl TxnState {
         self.order.iter().map(|&i| &self.objects[i])
     }
 
-    /// The entries of the read round starting at `read_round`: that one
-    /// entry, or — with `batching` — every remaining one.
-    pub(crate) fn read_round_range(&self, batching: bool) -> Range<usize> {
-        let end = if batching {
-            self.objects.len()
-        } else {
-            self.read_round + 1
-        };
-        self.read_round..end.min(self.objects.len())
-    }
-
     /// The entry of `obj`, if the transaction touches it.
     pub(crate) fn object_mut(&mut self, obj: ObjectId) -> Option<&mut TxnObject> {
         let i = self.objects.binary_search_by_key(&obj, |e| e.obj).ok()?;
@@ -234,6 +220,17 @@ impl AckSet {
         }
     }
 
+    /// Expects an acknowledgement from every member of `quorum` for `obj`
+    /// in place of the sites it still owes, keeping its place in the
+    /// order; `false`, changing nothing, if nothing is owed for `obj`.
+    pub(crate) fn replace_quorum(&mut self, obj: ObjectId, quorum: &QuorumSet) -> bool {
+        let Some((_, sites)) = self.entries.iter_mut().find(|(o, _)| *o == obj) else {
+            return false;
+        };
+        sites.clone_from(quorum);
+        true
+    }
+
     /// Expects an acknowledgement from `site` for `obj`, whether or not it
     /// already gave one.
     pub(crate) fn insert(&mut self, obj: ObjectId, site: SiteId) {
@@ -243,6 +240,11 @@ impl AckSet {
                 .entries
                 .push((obj, QuorumSet::from_indices([site.as_u32()]))),
         }
+    }
+
+    /// Whether some acknowledgement for `obj` is still outstanding.
+    pub(crate) fn owes(&self, obj: ObjectId) -> bool {
+        self.entries.iter().any(|(o, _)| *o == obj)
     }
 
     /// Whether `(obj, site)` is still outstanding.
@@ -408,6 +410,21 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// A retry's re-picked quorum replaces what its object still owes, in
+    /// the object's place; an object owing nothing is left out.
+    #[test]
+    fn replace_quorum_replaces_what_an_object_owes_in_place() {
+        let mut acks = AckSet::default();
+        acks.add_quorum(ObjectId(1), &QuorumSet::from_indices([1, 2]));
+        acks.add_quorum(ObjectId(2), &QuorumSet::from_indices([3]));
+        assert!(acks.remove(ObjectId(1), SiteId::new(1)));
+        assert!(acks.replace_quorum(ObjectId(1), &QuorumSet::from_indices([4, 5])));
+        assert!(!acks.replace_quorum(ObjectId(3), &QuorumSet::from_indices([6])));
+        let got: Vec<(u32, u32)> = acks.iter().map(|(o, s)| (o.0, s.as_u32())).collect();
+        assert_eq!(got, [(1, 4), (1, 5), (2, 3)]);
+        assert!(acks.owes(ObjectId(2)) && !acks.owes(ObjectId(3)));
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -435,6 +452,7 @@ mod tests {
                 let (obj, site) = (ObjectId(o), SiteId::new(s));
                 prop_assert_eq!(acks_set.contains(obj, site), pairs.contains(&(obj, site)));
                 prop_assert_eq!(acks_set.remove(obj, site), pairs.remove(&(obj, site)));
+                prop_assert_eq!(acks_set.owes(obj), pairs.iter().any(|&(o, _)| o == obj));
                 let got: Vec<(ObjectId, SiteId)> = acks_set.iter().collect();
                 let want: Vec<(ObjectId, SiteId)> = pairs.iter().copied().collect();
                 prop_assert_eq!(got, want);

@@ -619,9 +619,14 @@ fn repair_smoke_table_is_pinned_across_engine_swaps() {
 /// once more when a rejoin began syncing from one serving mate of each
 /// write quorum holding the site instead of from a whole read quorum per
 /// shard: the cells' amnesia rejoins draw other sources and send fewer
-/// probes.
+/// probes. The throughput pin was re-taken once when the read phase began
+/// reading all of a transaction's objects in one round whatever
+/// `batching` says, and a read retry began re-sending only the objects
+/// still owed a response: its unbatched cells' multi-object reads finish
+/// in one round trip instead of one per object, so every later event
+/// moves.
 const PINNED_CHAOS_CAMPAIGN: u64 = 14785949767217873562;
-const PINNED_THROUGHPUT_SMOKE: u64 = 5468455340288058325;
+const PINNED_THROUGHPUT_SMOKE: u64 = 9929213787621801240;
 const PINNED_REPAIR_SMOKE: u64 = 8898867257685442620;
 
 /// Every coordinator branch under one hash: batching {off, on} ×
@@ -727,8 +732,13 @@ fn coordinator_branches_are_pinned() {
 }
 
 /// Captured before the coordinator's per-object entries replaced its
-/// per-phase containers; that refactor must not move it.
-const PINNED_COORDINATOR_BRANCHES: u64 = 6470194262761391419;
+/// per-phase containers; that refactor must not move it. Re-taken once
+/// when the read phase became one round over every object whatever
+/// `batching` says, with a read retry re-sending only the objects still
+/// owed a response: the unbatched cells read their multi-object
+/// transactions in parallel, and the batched cells' read retries pick
+/// fewer quorums.
+const PINNED_COORDINATOR_BRANCHES: u64 = 15902667709453420439;
 
 /// Amnesia cold start layered over uncorrelated churn (the chaos-campaign
 /// composition): still consistent, still no service from Syncing sites.
