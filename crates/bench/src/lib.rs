@@ -58,8 +58,8 @@ pub fn arg_value(args: &[String], key: &str) -> Option<f64> {
 /// fields are bench-specific and pass through as raw JSON values.
 ///
 /// The workspace vendors no serde, so values are raw pre-formatted JSON
-/// fragments (use [`json_str`] for string values) and the builder emits
-/// the document by hand with stable key order.
+/// fragments (use [`report::json_str`] for string values) and the builder
+/// emits the document by hand with stable key order.
 pub mod report {
     /// Quotes and escapes a string as a JSON string literal.
     pub fn json_str(s: &str) -> String {

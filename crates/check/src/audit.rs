@@ -2,7 +2,7 @@
 //! relation.
 //!
 //! Everything DPOR prunes, it prunes because the hand-written relation in
-//! [`crate::explore`] says two events commute. PR 4's mutation-kill
+//! [`crate::explore`](mod@crate::explore) says two events commute. PR 4's mutation-kill
 //! harness audits the *protocol*; this module audits the *checker*, in
 //! three parts:
 //!

@@ -6,7 +6,7 @@
 //! The simulator re-executes from scratch for every schedule (stateless
 //! model checking): the explorer keeps a stack of *frames*, one per
 //! executed step, each recording the events that were pending at that
-//! point and which one was chosen. A [`RunScheduler`] implementing the
+//! point and which one was chosen. A `RunScheduler` implementing the
 //! simulator's [`Scheduler`] seam replays the stack prefix, then extends
 //! it by one new frontier; backtracking advances the deepest frame to its
 //! next unexplored choice.

@@ -5,7 +5,7 @@
 //! random workload — only scripted transactions. Under those constraints
 //! site-bound deliveries draw **zero** RNG, which is what makes the
 //! explorer's independence relation sound: the only remaining draws are
-//! coordinator-side (quorum picks, pacer jitter), and coordinator-side
+//! coordinator-side (quorum picks, think-time jitter), and coordinator-side
 //! events are never treated as independent of each other.
 
 use crate::mutations::Mutation;

@@ -1,7 +1,7 @@
 //! Simulation configuration.
 
 use crate::time::SimDuration;
-use crate::workload::{ArrivalPattern, ObjectDistribution};
+use crate::workload::ObjectDistribution;
 
 /// Network behaviour parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -85,7 +85,8 @@ pub struct SimConfig {
     pub objects: usize,
     /// Fraction of operations that are reads.
     pub read_fraction: f64,
-    /// Mean think time between a client's operations.
+    /// Think time between a client's operations: each wait is drawn
+    /// uniformly from `[think_time, 1.5 · think_time)`.
     pub think_time: SimDuration,
     /// Coordinator phase timeout (should exceed two max latencies).
     pub op_timeout: SimDuration,
@@ -125,8 +126,6 @@ pub struct SimConfig {
     pub batching: bool,
     /// How clients pick objects.
     pub object_distribution: ObjectDistribution,
-    /// How clients pace operations.
-    pub arrival_pattern: ArrivalPattern,
     /// Network behaviour.
     pub network: NetworkConfig,
     /// Total simulated duration.
@@ -155,7 +154,6 @@ impl Default for SimConfig {
             shards: 1,
             batching: false,
             object_distribution: ObjectDistribution::Uniform,
-            arrival_pattern: ArrivalPattern::Steady,
             network: NetworkConfig::default(),
             duration: SimDuration::from_millis(500),
             fault: None,

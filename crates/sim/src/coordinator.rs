@@ -9,6 +9,16 @@
 //! reconfiguration possible (the migration target is an arbitrary boxed
 //! protocol, not "another tree").
 //!
+//! A client is closed loop: it runs at most one transaction at a time. So
+//! each client's slot ([`ClientState`], indexed by [`ClientId`]) is the
+//! one record of everything the coordinator keeps for it — suspicions,
+//! the id and record of its transaction in flight, its pending scripted
+//! transactions. Replies and timeouts find their transaction through the
+//! client they are addressed to, and a stale one, for the client's
+//! earlier transaction, is dropped by comparing op ids. The lock manager
+//! names transactions by op id, so a lock grant finds its client by
+//! scanning the slots.
+//!
 //! The keyspace is *sharded*: objects hash across the
 //! [`ShardMap`]'s independent protocol instances, each object's quorum
 //! decisions go to its own shard, and reconfiguration migrates one shard
@@ -28,12 +38,12 @@ use crate::history::{History, HistoryEvent, HistoryKind};
 use crate::locks::LockManager;
 use crate::message::{ClientId, Endpoint, Message, ObjectId, OpId, Payload};
 use crate::metrics::SiteCounts;
-use crate::time::SimTime;
+use crate::time::{SimDuration, SimTime};
 use crate::txn::{
     ClientState, MigrationPhase, Phase, Reconfig, SimReport, TxnObject, TxnRequest, TxnState,
 };
-use crate::workload::{ArrivalPacer, ObjectSampler};
-use arbitree_core::{DetMap, DetSet, Timestamp};
+use crate::workload::ObjectSampler;
+use arbitree_core::{DetSet, Timestamp};
 use arbitree_quorum::{shard_index, AliveSet, QuorumSet, ReplicaControl, ShardMap, SiteId};
 use bytes::Bytes;
 use rand::Rng;
@@ -61,19 +71,14 @@ pub struct Coordinator {
     pub(crate) config: SimConfig,
     locks: LockManager,
     checker: ConsistencyChecker,
-    clients: Vec<ClientState>,
-    ops: DetMap<OpId, TxnState>,
+    /// One slot per client, indexed by [`ClientId`]: the workload clients,
+    /// then the migration coordinator. Each holds the client's transaction.
+    pub(crate) clients: Vec<ClientState>,
     next_op: u64,
     queued_reconfigs: VecDeque<(usize, Proto)>,
     reconfig: Option<Reconfig>,
     history: History,
     object_sampler: ObjectSampler,
-    pacers: Vec<ArrivalPacer>,
-    scripted: DetMap<ClientId, VecDeque<(SimTime, TxnRequest)>>,
-    /// Finished transaction records, reused by later transactions with
-    /// their buffers' capacity. Never part of the state: not in `Debug`,
-    /// not in the fingerprint.
-    spare_txns: Vec<TxnState>,
     /// Scratch for a prepare attempt's write quorums (entry index, quorum),
     /// all picked before any is stored.
     picks: Vec<(usize, QuorumSet)>,
@@ -88,7 +93,7 @@ impl fmt::Debug for Coordinator {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Coordinator")
             .field("clients", &self.clients.len())
-            .field("ops_in_flight", &self.ops.len())
+            .field("ops_in_flight", &self.ops_in_flight())
             .field("next_op", &self.next_op)
             .field("queued_reconfigs", &self.queued_reconfigs.len())
             .field("reconfig", &self.reconfig)
@@ -102,27 +107,17 @@ impl Coordinator {
         // One extra coordinator (the last index) drives reconfiguration
         // migrations; it never issues workload transactions.
         let clients = (0..=config.clients as u32)
-            .map(|c| ClientState {
-                sid: SiteId::new(n_sites as u32 + c),
-                suspected: DetSet::new(),
-                current_op: None,
-            })
+            .map(|c| ClientState::new(SiteId::new(n_sites as u32 + c)))
             .collect();
         Coordinator {
             locks: LockManager::new(),
             checker: ConsistencyChecker::new(),
             clients,
-            ops: DetMap::new(),
             next_op: 0,
             queued_reconfigs: VecDeque::new(),
             reconfig: None,
             history: History::new(),
             object_sampler: ObjectSampler::new(config.objects, config.object_distribution),
-            pacers: (0..config.clients)
-                .map(|_| ArrivalPacer::new(config.arrival_pattern, config.think_time))
-                .collect(),
-            scripted: DetMap::new(),
-            spare_txns: Vec::new(),
             picks: Vec::new(),
             old_quorums: Vec::new(),
             granted: Vec::new(),
@@ -137,7 +132,7 @@ impl Coordinator {
 
     /// Transactions currently in flight.
     pub fn ops_in_flight(&self) -> usize {
-        self.ops.len()
+        self.clients.iter().filter(|c| c.op.is_some()).count()
     }
 
     /// Streams the coordinator's behavioural state into `h` (see
@@ -145,50 +140,50 @@ impl Coordinator {
     /// clock, used only to reduce pending scripted transactions to
     /// due-flags — the single place the clock value feeds behaviour.
     pub(crate) fn fingerprint_into(&self, h: &mut crate::fingerprint::Fnv, now: SimTime) {
-        h.debug(&self.clients);
+        for c in &self.clients {
+            h.debug(&(c.sid, &c.suspected, c.op));
+            // An idle client's record is leftovers; of an in-flight one,
+            // every field except `started`, which only feeds the latency
+            // metric and history stamps (observational).
+            if let (Some(_), Some(s)) = (c.op, &c.txn) {
+                h.debug(&s.client);
+                h.debug(&s.phase);
+                h.u64(s.phase_counter);
+                h.u64(u64::from(s.attempts));
+                h.debug(&s.objects);
+                h.u64(s.locks_held as u64);
+                h.debug(&s.pending);
+                h.debug(&s.responses);
+                h.debug(&s.is_migration);
+            }
+            h.u64(c.scripted.len() as u64);
+            for (at, req) in &c.scripted {
+                h.debug(&(*at <= now));
+                h.debug(req);
+            }
+        }
         h.debug(&self.locks);
         h.debug(&self.checker);
-        h.debug(&self.pacers);
         h.u64(self.next_op);
         h.u64(self.queued_reconfigs.len() as u64);
         for (shard, _) in &self.queued_reconfigs {
             h.u64(*shard as u64);
         }
         h.debug(&self.reconfig);
-        for (op, s) in self.ops.iter() {
-            h.debug(op);
-            // Every TxnState field except `started`, which only feeds the
-            // latency metric and history stamps (observational).
-            h.debug(&s.client);
-            h.debug(&s.phase);
-            h.u64(s.phase_counter);
-            h.u64(u64::from(s.attempts));
-            h.debug(&s.objects);
-            h.u64(s.locks_held as u64);
-            h.debug(&s.pending);
-            h.debug(&s.responses);
-            h.debug(&s.is_migration);
-        }
-        for (client, queue) in self.scripted.iter() {
-            h.debug(client);
-            for (at, req) in queue {
-                h.debug(&(*at <= now));
-                h.debug(req);
-            }
-        }
     }
 
-    /// Whether an [`Event::OpTimeout`] with this `(op, attempt)` pair is
-    /// *permanently* stale: the operation has completed (ids are never
-    /// reused) or the phase counter has moved past the armed attempt
-    /// (counters only advance). A permanently-stale timeout is a pure
-    /// no-op under every future schedule, which is what lets the model
-    /// checker treat it as independent of all other events.
-    pub(crate) fn timeout_is_stale(&self, op: OpId, attempt: u64) -> bool {
-        match self.ops.get(&op) {
-            None => true,
-            Some(s) => attempt < s.phase_counter,
-        }
+    /// Whether an [`Event::OpTimeout`] of `client` with this `(op,
+    /// attempt)` pair is *permanently* stale: the operation is no longer
+    /// the client's transaction in flight (ids are never reused) or the
+    /// phase counter has moved past the armed attempt (counters only
+    /// advance). A permanently-stale timeout is a pure no-op under every
+    /// future schedule, which is what lets the model checker treat it as
+    /// independent of all other events.
+    pub(crate) fn timeout_is_stale(&self, client: ClientId, op: OpId, attempt: u64) -> bool {
+        let Some(c) = self.clients.get(client.0 as usize) else {
+            return true;
+        };
+        c.op != Some(op) || c.txn.as_ref().is_none_or(|s| attempt < s.phase_counter)
     }
 
     /// The reserved migration coordinator's id.
@@ -230,9 +225,8 @@ impl Coordinator {
                 "object {obj} appears twice in the transaction"
             );
         }
-        self.scripted
-            .entry(client)
-            .or_default()
+        self.clients[client.0 as usize]
+            .scripted
             .push_back((at, req));
         engine.schedule(at, Event::ClientTick(client));
     }
@@ -243,12 +237,12 @@ impl Coordinator {
     /// membership; genuinely dead sites will be re-suspected at the next
     /// timeout.
     fn pick_with_reprobe(
-        client: &mut ClientState,
+        suspected: &mut DetSet<SiteId>,
         engine: &mut Engine,
         protocol: &dyn ReplicaControl,
         write: bool,
     ) -> Option<QuorumSet> {
-        let alive = Self::believed_alive(client, engine);
+        let alive = Self::believed_alive(suspected, engine);
         let pick = |alive, rng: &mut dyn rand::RngCore| {
             if write {
                 protocol.pick_write_quorum(alive, rng)
@@ -259,11 +253,11 @@ impl Coordinator {
         if let Some(q) = pick(alive, &mut engine.rng) {
             return Some(q);
         }
-        if client.suspected.is_empty() {
+        if suspected.is_empty() {
             return None;
         }
-        engine.metrics.suspicions_cleared += client.suspected.len() as u64;
-        client.suspected.clear();
+        engine.metrics.suspicions_cleared += suspected.len() as u64;
+        suspected.clear();
         // Suspicions reset, but Syncing sites stay excluded: their refusal
         // is advertised state, not a guess to re-test.
         let mut full = AliveSet::full(engine.sites.len());
@@ -273,9 +267,9 @@ impl Coordinator {
         pick(full, &mut engine.rng)
     }
 
-    fn believed_alive(client: &ClientState, engine: &Engine) -> AliveSet {
+    fn believed_alive(suspected: &DetSet<SiteId>, engine: &Engine) -> AliveSet {
         let mut alive = AliveSet::full(engine.sites.len());
-        for s in &client.suspected {
+        for s in suspected {
             alive.remove(*s);
         }
         // Mid-rejoin (`Syncing`) sites advertise their state — quorums route
@@ -314,30 +308,34 @@ impl Coordinator {
         shards: &mut ShardMap,
         client: ClientId,
     ) {
-        if (client.0 as usize) < self.config.clients
-            && self.clients[client.0 as usize].current_op.is_none()
-        {
+        let workload = (client.0 as usize) < self.config.clients;
+        if workload && self.clients[client.0 as usize].op.is_none() {
             self.issue_op(engine, shards, client);
         }
     }
 
     /// Issues a fresh transaction for `client` (assumes it is idle):
     /// scripted requests first, then — if enabled — the random workload.
+    /// The entries go straight into the client's record in the order
+    /// requested; `register_txn` then plans them.
     fn issue_op(&mut self, engine: &mut Engine, shards: &mut ShardMap, client: ClientId) {
         if self.reconfig.is_some() {
             return;
         }
-        let due = self
-            .scripted
-            .get(&client)
-            .and_then(|q| q.front())
-            .is_some_and(|(at, _)| *at <= engine.now);
-        if due {
-            let Some((_, req)) = self.scripted.get_mut(&client).and_then(VecDeque::pop_front)
-            else {
-                return; // unreachable: `due` just observed a front element
+        let c = &mut self.clients[client.0 as usize];
+        if c.scripted.front().is_some_and(|(at, _)| *at <= engine.now) {
+            let Some((_, req)) = c.scripted.pop_front() else {
+                return; // unreachable: a front element was just observed
             };
-            self.insert_txn(engine, shards, client, req);
+            let txn = c.fresh_txn(client, engine.now, false);
+            let reads = req.reads.into_iter().map(|obj| TxnObject::new(obj, None));
+            let writes = req
+                .writes
+                .into_iter()
+                .map(|(obj, v)| TxnObject::new(obj, Some(v)));
+            txn.objects.extend(reads.chain(writes));
+            self.register_txn(client);
+            self.advance_locks(engine, shards, client);
             return;
         }
         if engine.now >= engine.end || !self.config.auto_workload {
@@ -345,16 +343,15 @@ impl Coordinator {
         }
         let id_hint = self.next_op;
 
-        // Sample 1..=max distinct objects, each op independently read/write.
-        // The entries go straight into the (recycled) record in the order
-        // sampled; `number_requests` then puts the reads before the writes.
+        // Sample 1..=max distinct objects, each op independently read/write;
+        // `number_requests` then puts the reads before the writes.
         let max_ops = self.config.max_txn_ops.min(self.config.objects);
         let op_count = if max_ops == 1 {
             1
         } else {
             engine.rng.gen_range(1..=max_ops)
         };
-        let mut txn = self.new_txn(client, engine.now, false);
+        let txn = c.fresh_txn(client, engine.now, false);
         let mut tries = 0;
         while txn.objects.len() < op_count && tries < 16 * op_count {
             let obj = ObjectId(self.object_sampler.sample(&mut engine.rng));
@@ -371,61 +368,32 @@ impl Coordinator {
                 *e = TxnObject::new(e.obj, Some(Bytes::copy_from_slice(&value)));
             }
         }
-        let id = self.register_txn(txn);
-        self.advance_locks(engine, shards, id);
+        self.register_txn(client);
+        self.advance_locks(engine, shards, client);
     }
 
-    /// A record for a new transaction of `client`: a recycled one if any
-    /// is spare.
-    fn new_txn(&mut self, client: ClientId, started: SimTime, is_migration: bool) -> TxnState {
-        match self.spare_txns.pop() {
-            Some(mut txn) => {
-                txn.reuse(client, started, is_migration);
-                txn
-            }
-            None => TxnState::new(client, started, is_migration),
-        }
-    }
-
-    /// Registers a scripted transaction's state and starts its lock
-    /// acquisition.
-    fn insert_txn(
-        &mut self,
-        engine: &mut Engine,
-        shards: &mut ShardMap,
-        client: ClientId,
-        req: TxnRequest,
-    ) {
-        let mut txn = self.new_txn(client, engine.now, false);
-        let reads = req.reads.into_iter().map(|obj| TxnObject::new(obj, None));
-        let writes = req
-            .writes
-            .into_iter()
-            .map(|(obj, v)| TxnObject::new(obj, Some(v)));
-        txn.objects.extend(reads.chain(writes));
-        let id = self.register_txn(txn);
-        self.advance_locks(engine, shards, id);
-    }
-
-    /// Plans `txn` (entries in request order) and makes it its client's
-    /// transaction in flight under a fresh id.
-    fn register_txn(&mut self, mut txn: TxnState) -> OpId {
+    /// Plans `client`'s record (entries in request order) and puts it in
+    /// flight under a fresh id.
+    fn register_txn(&mut self, client: ClientId) {
         let id = OpId(self.next_op);
         self.next_op += 1;
+        let c = &mut self.clients[client.0 as usize];
+        let Some(txn) = c.txn.as_deref_mut() else {
+            return; // unreachable: every caller readied the record
+        };
         txn.number_requests();
         // Lock plan: ascending object order (deadlock freedom). The
         // objects are distinct, so an unstable sort orders them the same.
         txn.objects.sort_unstable_by_key(|e| e.obj);
         txn.index_request_order();
-        self.clients[txn.client.0 as usize].current_op = Some(id);
-        self.ops.insert(id, txn);
-        id
+        c.op = Some(id);
     }
 
-    /// Acquires the next planned lock(s); when all are held, starts the
-    /// read round.
-    fn advance_locks(&mut self, engine: &mut Engine, shards: &mut ShardMap, op: OpId) {
-        let Some(s) = self.ops.get_mut(&op) else {
+    /// Acquires `client`'s next planned lock(s); when all are held, starts
+    /// the read round.
+    fn advance_locks(&mut self, engine: &mut Engine, shards: &mut ShardMap, client: ClientId) {
+        let c = &mut self.clients[client.0 as usize];
+        let (Some(op), Some(s)) = (c.op, c.txn.as_deref_mut()) else {
             return;
         };
         while let Some(e) = s.objects.get(s.locks_held) {
@@ -434,34 +402,36 @@ impl Coordinator {
             }
             s.locks_held += 1;
         }
-        self.start_read_round(engine, shards, op);
+        self.start_read_round(engine, shards, client);
     }
 
-    /// Called when the lock manager grants a queued request of `op`.
-    fn on_lock_granted(&mut self, engine: &mut Engine, shards: &mut ShardMap, op: OpId) {
-        if let Some(state) = self.ops.get_mut(&op) {
-            state.locks_held += 1;
-            self.advance_locks(engine, shards, op);
-        }
-    }
-
-    /// Releases `op`'s lock — held or queued — on each of `objs`, then
-    /// resumes the transactions granted a lock as a result.
+    /// Releases `op`'s lock — held or queued — on each of the first `count`
+    /// entries of `client`'s record, then resumes the transactions granted
+    /// a lock as a result.
     fn release_locks(
         &mut self,
         engine: &mut Engine,
         shards: &mut ShardMap,
+        client: ClientId,
         op: OpId,
-        objs: impl IntoIterator<Item = ObjectId>,
+        count: usize,
     ) {
         // Scratch taken for the call: resuming a granted transaction can
         // end it and release its locks in turn.
         let mut granted = std::mem::take(&mut self.granted);
-        for obj in objs {
-            self.locks.release_into(op, obj, &mut granted);
+        if let Some(s) = &self.clients[client.0 as usize].txn {
+            for e in &s.objects[..count] {
+                self.locks.release_into(op, e.obj, &mut granted);
+            }
         }
         for &waiter in &granted {
-            self.on_lock_granted(engine, shards, waiter);
+            let Some(i) = self.clients.iter().position(|c| c.op == Some(waiter)) else {
+                continue;
+            };
+            if let Some(s) = self.clients[i].txn.as_deref_mut() {
+                s.locks_held += 1;
+            }
+            self.advance_locks(engine, shards, ClientId(i as u32));
         }
         granted.clear();
         self.granted = granted;
@@ -474,12 +444,13 @@ impl Coordinator {
     /// transaction is already gathering — re-picks and re-sends only the
     /// objects still owed a response; every best value and response
     /// gathered so far stays.
-    fn start_read_round(&mut self, engine: &mut Engine, shards: &mut ShardMap, op: OpId) {
-        let Some(s) = self.ops.get_mut(&op) else {
+    fn start_read_round(&mut self, engine: &mut Engine, shards: &mut ShardMap, client: ClientId) {
+        let c = &mut self.clients[client.0 as usize];
+        let (Some(op), Some(s)) = (c.op, c.txn.as_deref_mut()) else {
             return;
         };
+        let suspected = &mut c.suspected;
         let retry = s.phase == Phase::ReadGather;
-        let client = &mut self.clients[s.client.0 as usize];
         let pending = &s.pending;
         let picked = s
             .objects
@@ -487,7 +458,7 @@ impl Coordinator {
             .filter(|e| !retry || pending.owes(e.obj))
             .all(|e| {
                 let protocol = shards.for_key(u64::from(e.obj.0));
-                match Self::pick_with_reprobe(client, engine, protocol, false) {
+                match Self::pick_with_reprobe(suspected, engine, protocol, false) {
                     Some(q) => {
                         e.read_quorum = q;
                         true
@@ -496,7 +467,7 @@ impl Coordinator {
                 }
             });
         if !picked {
-            self.fail_op(engine, shards, op, AbortCause::NoQuorum);
+            self.fail_op(engine, shards, client, AbortCause::NoQuorum);
             return;
         }
         if !retry {
@@ -522,8 +493,9 @@ impl Coordinator {
     /// The read phase finished: repair its stale responders, then stamp the
     /// writes and enter the prepare phase, or complete a read-only
     /// transaction.
-    fn finish_read_round(&mut self, engine: &mut Engine, shards: &mut ShardMap, op: OpId) {
-        let Some(s) = self.ops.get_mut(&op) else {
+    fn finish_read_round(&mut self, engine: &mut Engine, shards: &mut ShardMap, client: ClientId) {
+        let c = &mut self.clients[client.0 as usize];
+        let (Some(op), Some(s)) = (c.op, c.txn.as_deref_mut()) else {
             return;
         };
         // Read-repair: the best value is committed (locks block writers), so
@@ -555,26 +527,32 @@ impl Coordinator {
             // Each write goes one version past the greatest one its read
             // found. Mutation hook: SkipVersionBump reuses that timestamp
             // verbatim, so committed versions stop advancing.
-            let sid = self.clients[s.client.0 as usize].sid;
+            let sid = c.sid;
             let skip_bump = matches!(self.config.fault, Some(FaultInjection::SkipVersionBump));
             for e in s.objects.iter_mut().filter(|e| e.is_write()) {
                 let base = e.best.as_ref().map_or(Timestamp::ZERO, |(ts, _)| *ts);
                 e.write_ts = if skip_bump { base } else { base.next(sid) };
             }
-            self.start_prepare_phase(engine, shards, op);
+            self.start_prepare_phase(engine, shards, client);
         } else {
-            self.complete_op(engine, shards, op);
+            self.complete_op(engine, shards, client);
         }
     }
 
     /// Starts (or restarts) the 2PC prepare phase across every written
     /// object's write quorum (picked from the object's own shard, in
     /// request order).
-    fn start_prepare_phase(&mut self, engine: &mut Engine, shards: &mut ShardMap, op: OpId) {
-        let Some(s) = self.ops.get_mut(&op) else {
+    fn start_prepare_phase(
+        &mut self,
+        engine: &mut Engine,
+        shards: &mut ShardMap,
+        client: ClientId,
+    ) {
+        let c = &mut self.clients[client.0 as usize];
+        let (Some(op), Some(s)) = (c.op, c.txn.as_deref_mut()) else {
             return;
         };
-        let client = &mut self.clients[s.client.0 as usize];
+        let suspected = &mut c.suspected;
         let reconfig = &self.reconfig;
         let mut pick = |e: &TxnObject| {
             let protocol = shards.for_key(u64::from(e.obj.0));
@@ -582,15 +560,15 @@ impl Coordinator {
                 // Migration writes go to the union of an old-structure and
                 // a new-structure write quorum so the value is visible
                 // whichever structure serves later reads.
-                let old_q = Self::pick_with_reprobe(client, engine, protocol, true)?;
-                let alive = Self::believed_alive(client, engine);
+                let old_q = Self::pick_with_reprobe(suspected, engine, protocol, true)?;
+                let alive = Self::believed_alive(suspected, engine);
                 let new_q = reconfig
                     .as_ref()?
                     .target
                     .pick_write_quorum(alive, &mut engine.rng)?;
                 Some(QuorumSet::from_sites(old_q.iter().chain(new_q.iter())))
             } else {
-                Self::pick_with_reprobe(client, engine, protocol, true)
+                Self::pick_with_reprobe(suspected, engine, protocol, true)
             }
         };
         // Pick every quorum, in request order, before storing any: a failed
@@ -611,7 +589,7 @@ impl Coordinator {
             }
         });
         if !picked {
-            self.fail_op(engine, shards, op, AbortCause::NoQuorum);
+            self.fail_op(engine, shards, client, AbortCause::NoQuorum);
             return;
         }
         for (i, q) in picks.drain(..) {
@@ -642,20 +620,20 @@ impl Coordinator {
     }
 
     /// Crossing the commit point: send `Commit` to every participant.
-    fn start_commit_phase(&mut self, engine: &mut Engine, shards: &mut ShardMap, op: OpId) {
+    fn start_commit_phase(&mut self, engine: &mut Engine, shards: &mut ShardMap, client: ClientId) {
+        let c = &self.clients[client.0 as usize];
+        let (Some(op), Some(s)) = (c.op, &c.txn) else {
+            return;
+        };
         // Mutation hook: EarlyLockRelease frees every lock at the commit
         // *point* instead of after the acknowledgements, admitting readers
         // while the commits are still in flight.
         if matches!(self.config.fault, Some(FaultInjection::EarlyLockRelease)) {
             // Every lock is held by now, except by a migration, which takes none.
-            let held: Vec<ObjectId> = self
-                .ops
-                .get(&op)
-                .map(|s| s.objects[..s.locks_held].iter().map(|e| e.obj).collect())
-                .unwrap_or_default();
-            self.release_locks(engine, shards, op, held);
+            let held = s.locks_held;
+            self.release_locks(engine, shards, client, op, held);
         }
-        let Some(s) = self.ops.get_mut(&op) else {
+        let Some(s) = self.clients[client.0 as usize].txn.as_deref_mut() else {
             return;
         };
         Self::send_writes(engine, op, s, Phase::CommitGather);
@@ -664,8 +642,15 @@ impl Coordinator {
 
     /// The transaction gives up: abort staged writes, release locks, count
     /// the failure (attributed to `cause`), let the client move on.
-    fn fail_op(&mut self, engine: &mut Engine, shards: &mut ShardMap, op: OpId, cause: AbortCause) {
-        let Some(state) = self.ops.remove(&op) else {
+    fn fail_op(
+        &mut self,
+        engine: &mut Engine,
+        shards: &mut ShardMap,
+        client: ClientId,
+        cause: AbortCause,
+    ) {
+        let c = &mut self.clients[client.0 as usize];
+        let (Some(op), Some(state)) = (c.op.take(), c.txn.as_deref()) else {
             return;
         };
         // Staged-but-uncommitted writes must be cleaned up.
@@ -680,8 +665,6 @@ impl Coordinator {
             // written so far went to old∪new quorums, so the old structure
             // remains fully consistent.
             engine.metrics.aborts_reconfig += 1;
-            self.clients[state.client.0 as usize].current_op = None;
-            self.spare_txns.push(state);
             self.reconfig = None;
             self.resume_clients(engine);
             return;
@@ -698,18 +681,18 @@ impl Coordinator {
         // Mutation hook: KeepLocksOnAbort leaks the aborted transaction's
         // strict-2PL locks forever.
         let release = !matches!(self.config.fault, Some(FaultInjection::KeepLocksOnAbort));
-        self.finish_client_txn(engine, shards, state, op, release);
+        self.finish_client_txn(engine, shards, client, op, release);
     }
 
     /// Completes a transaction successfully: reads then writes, in request
     /// order, go to the checker, the metrics and the history.
-    fn complete_op(&mut self, engine: &mut Engine, shards: &mut ShardMap, op: OpId) {
-        let Some(state) = self.ops.remove(&op) else {
+    fn complete_op(&mut self, engine: &mut Engine, shards: &mut ShardMap, client: ClientId) {
+        let c = &mut self.clients[client.0 as usize];
+        let (Some(op), Some(state)) = (c.op.take(), c.txn.as_deref()) else {
             return;
         };
         if state.is_migration {
-            self.clients[state.client.0 as usize].current_op = None;
-            self.complete_migration_op(engine, shards, op, state);
+            self.complete_migration_op(engine, shards, op);
             return;
         }
         let latency = engine.now - state.started;
@@ -742,7 +725,7 @@ impl Coordinator {
             }
         }
         engine.metrics.txns_ok += 1;
-        self.finish_client_txn(engine, shards, state, op, true);
+        self.finish_client_txn(engine, shards, client, op, true);
     }
 
     /// Counts one hit per member of `quorum`.
@@ -778,18 +761,16 @@ impl Coordinator {
 
     /// Advances the migration state machine after one of its transactions
     /// completes.
-    fn complete_migration_op(
-        &mut self,
-        engine: &mut Engine,
-        shards: &mut ShardMap,
-        op: OpId,
-        mut state: TxnState,
-    ) {
-        let started = state.started;
+    fn complete_migration_op(&mut self, engine: &mut Engine, shards: &mut ShardMap, op: OpId) {
+        // The migration coordinator's slot, the last one.
+        let m = &mut self.clients[self.config.clients];
+        let sid = m.sid;
+        let Some(txn) = m.txn.as_deref_mut() else {
+            return;
+        };
+        let started = txn.started;
         // A migration transaction has exactly one entry.
-        let entry = state.objects.pop();
-        self.spare_txns.push(state);
-        let Some(e) = entry else {
+        let Some(e) = txn.objects.pop() else {
             return;
         };
         if !e.is_write() {
@@ -797,7 +778,6 @@ impl Coordinator {
             // timestamp to old∪new write quorums.
             let (ts, value) = e.best.unwrap_or_else(|| (Timestamp::ZERO, Bytes::new()));
             self.checker.check_read(op, e.obj, &value, ts);
-            let sid = self.clients[self.migration_client().0 as usize].sid;
             self.issue_migration_write(engine, shards, e.obj, value, ts.next(sid));
         } else {
             if self.config.record_history {
@@ -821,16 +801,19 @@ impl Coordinator {
         }
     }
 
-    /// Registers a one-object migration transaction (it takes no locks).
-    fn insert_migration_txn(&mut self, engine: &Engine, entry: TxnObject) -> OpId {
-        let mut txn = self.new_txn(self.migration_client(), engine.now, true);
+    /// Puts a one-object migration transaction in flight (it takes no
+    /// locks).
+    fn insert_migration_txn(&mut self, engine: &Engine, entry: TxnObject) -> ClientId {
+        let client = self.migration_client();
+        let txn = self.clients[client.0 as usize].fresh_txn(client, engine.now, true);
         txn.objects.push(entry);
-        self.register_txn(txn)
+        self.register_txn(client);
+        client
     }
 
     fn issue_migration_read(&mut self, engine: &mut Engine, shards: &mut ShardMap, obj: ObjectId) {
-        let id = self.insert_migration_txn(engine, TxnObject::new(obj, None));
-        self.start_read_round(engine, shards, id);
+        let client = self.insert_migration_txn(engine, TxnObject::new(obj, None));
+        self.start_read_round(engine, shards, client);
     }
 
     fn issue_migration_write(
@@ -843,8 +826,8 @@ impl Coordinator {
     ) {
         let mut entry = TxnObject::new(obj, Some(value));
         entry.write_ts = ts;
-        let id = self.insert_migration_txn(engine, entry);
-        self.start_prepare_phase(engine, shards, id);
+        let client = self.insert_migration_txn(engine, entry);
+        self.start_prepare_phase(engine, shards, client);
     }
 
     /// Begins the migration once every in-flight client transaction drained.
@@ -856,7 +839,7 @@ impl Coordinator {
                 ..
             })
         );
-        if draining && self.ops.is_empty() {
+        if draining && self.ops_in_flight() == 0 {
             let shard = self.reconfig.as_ref().map_or(0, |rc| rc.shard);
             if let Some(rc) = self.reconfig.as_mut() {
                 rc.phase = MigrationPhase::Migrating;
@@ -873,7 +856,7 @@ impl Coordinator {
     /// abandonment).
     fn resume_clients(&mut self, engine: &mut Engine) {
         for c in 0..self.config.clients as u32 {
-            let offset = crate::time::SimDuration::from_micros(u64::from(c) * 37);
+            let offset = SimDuration::from_micros(u64::from(c) * 37);
             engine.schedule(
                 engine.now + self.config.think_time + offset,
                 Event::ClientTick(ClientId(c)),
@@ -881,26 +864,27 @@ impl Coordinator {
         }
     }
 
-    /// Releases every lock the transaction held or queued for (unless
-    /// `release_locks` is off — the `KeepLocksOnAbort` mutation), resumes
-    /// granted waiters, schedules the client's next think-time tick. The
-    /// record goes to the spare list.
+    /// After `client`'s transaction `op` left flight: releases every lock
+    /// it held or queued for (unless `release_locks` is off — the
+    /// `KeepLocksOnAbort` mutation), resumes granted waiters, and schedules
+    /// the client's next tick a jittered think time away. The record stays
+    /// in the client's slot for its next transaction.
     fn finish_client_txn(
         &mut self,
         engine: &mut Engine,
         shards: &mut ShardMap,
-        state: TxnState,
+        client: ClientId,
         op: OpId,
         release_locks: bool,
     ) {
-        let client = state.client;
-        self.clients[client.0 as usize].current_op = None;
         if release_locks {
-            self.release_locks(engine, shards, op, state.objects.iter().map(|e| e.obj));
+            let c = &self.clients[client.0 as usize];
+            let count = c.txn.as_ref().map_or(0, |s| s.objects.len());
+            self.release_locks(engine, shards, client, op, count);
         }
-        self.spare_txns.push(state);
         let jitter: f64 = engine.rng.gen();
-        let delay = self.pacers[client.0 as usize].next_delay(jitter);
+        let think = self.config.think_time.as_micros();
+        let delay = SimDuration::from_micros(think + (jitter * think as f64 / 2.0) as u64);
         engine.schedule(engine.now + delay, Event::ClientTick(client));
         // A pending reconfiguration may now be able to start.
         self.try_advance_reconfig(engine, shards);
@@ -933,18 +917,15 @@ impl Coordinator {
         let Endpoint::Site(from) = msg.from else {
             return; // clients never message each other
         };
+        let c = &mut self.clients[client.0 as usize];
         // A response proves the site is alive again.
-        if self.clients[client.0 as usize].suspected.remove(&from) {
+        if c.suspected.remove(&from) {
             engine.metrics.suspicions_cleared += 1;
         }
-
-        let op_id = msg.payload.op();
-        let Some(state) = self.ops.get_mut(&op_id) else {
-            return; // stale response for a finished txn
+        let op = msg.payload.op();
+        let Some(state) = c.txn.as_deref_mut().filter(|_| c.op == Some(op)) else {
+            return; // stale response for an earlier txn
         };
-        if state.client != client {
-            return;
-        }
         match (&msg.payload, &state.phase) {
             (Payload::ReadResp { obj, value, ts, .. }, Phase::ReadGather) => {
                 // Acks are keyed by each object's current quorum, so a late
@@ -960,7 +941,7 @@ impl Coordinator {
                     }
                 }
                 if state.pending.is_empty() {
-                    self.finish_read_round(engine, shards, op_id);
+                    self.finish_read_round(engine, shards, client);
                 }
             }
             (Payload::PrepareAck { obj, ok, ts, .. }, Phase::PrepareGather) => {
@@ -978,16 +959,16 @@ impl Coordinator {
                     e.write_ts = Timestamp::new(ts.version() + 1, ts.sid());
                     state.attempts += 1;
                     if state.attempts >= self.config.max_attempts {
-                        self.fail_op(engine, shards, op_id, AbortCause::Conflict);
+                        self.fail_op(engine, shards, client, AbortCause::Conflict);
                     } else {
                         engine.metrics.retries_prepare += 1;
-                        self.start_prepare_phase(engine, shards, op_id);
+                        self.start_prepare_phase(engine, shards, client);
                     }
                     return;
                 }
                 state.pending.remove(*obj, from);
                 if state.pending.is_empty() {
-                    self.start_commit_phase(engine, shards, op_id);
+                    self.start_commit_phase(engine, shards, client);
                 }
             }
             (Payload::CommitAck { obj, .. }, Phase::CommitGather) => {
@@ -996,7 +977,7 @@ impl Coordinator {
                 // acknowledgement instead of waiting for the full quorum.
                 let premature = matches!(self.config.fault, Some(FaultInjection::StaleCommitAck));
                 if acked && (state.pending.is_empty() || premature) {
-                    self.complete_op(engine, shards, op_id);
+                    self.complete_op(engine, shards, client);
                 }
             }
             _ => {} // stale message from an earlier phase
@@ -1012,15 +993,16 @@ impl Coordinator {
         op: OpId,
         attempt: u64,
     ) {
-        let Some(state) = self.ops.get_mut(&op) else {
+        let c = &mut self.clients[client.0 as usize];
+        let Some(state) = c.txn.as_deref_mut() else {
             return;
         };
-        if state.phase_counter != attempt || state.client != client {
+        if c.op != Some(op) || state.phase_counter != attempt {
             return; // stale timeout
         }
+        let suspected = &mut c.suspected;
         engine.metrics.timeouts_fired += 1;
         // Suspect every member that stayed silent.
-        let suspected = &mut self.clients[client.0 as usize].suspected;
         for s in state.pending.sites() {
             if suspected.insert(s) {
                 engine.metrics.suspicions_raised += 1;
@@ -1031,16 +1013,16 @@ impl Coordinator {
             Phase::ReadGather => {
                 state.attempts += 1;
                 if state.attempts >= self.config.max_attempts {
-                    self.fail_op(engine, shards, op, AbortCause::Exhausted);
+                    self.fail_op(engine, shards, client, AbortCause::Exhausted);
                 } else {
                     engine.metrics.retries_read += 1;
-                    self.start_read_round(engine, shards, op);
+                    self.start_read_round(engine, shards, client);
                 }
             }
             Phase::PrepareGather => {
                 state.attempts += 1;
                 if state.attempts >= self.config.max_attempts {
-                    self.fail_op(engine, shards, op, AbortCause::Exhausted);
+                    self.fail_op(engine, shards, client, AbortCause::Exhausted);
                     return;
                 }
                 engine.metrics.retries_prepare += 1;
@@ -1056,8 +1038,9 @@ impl Coordinator {
                 // op, same ts), so we must not race an Abort against the
                 // re-Prepare; only members dropped from a quorum get an
                 // Abort for that object.
-                self.start_prepare_phase(engine, shards, op);
-                if let Some(state) = self.ops.get_mut(&op) {
+                self.start_prepare_phase(engine, shards, client);
+                let c = &mut self.clients[client.0 as usize];
+                if let Some(state) = c.txn.as_deref_mut().filter(|_| c.op == Some(op)) {
                     for &(obj, ref old_q) in &old_quorums {
                         let new_q = state.object_mut(obj).map(|e| &e.write_quorum);
                         for s in old_q.iter() {
@@ -1110,7 +1093,10 @@ impl Coordinator {
         if matches!(self.config.fault, Some(FaultInjection::ForgetWipedAcks)) {
             return;
         }
-        for state in self.ops.values_mut() {
+        for c in &mut self.clients {
+            let (Some(_), Some(state)) = (c.op, c.txn.as_deref_mut()) else {
+                continue;
+            };
             if state.phase != Phase::CommitGather {
                 continue;
             }
@@ -1159,7 +1145,7 @@ impl Coordinator {
             metrics: engine.metrics.clone(),
             violations: self.checker.violations().len(),
             consistent: self.checker.is_consistent(),
-            ops_incomplete: self.ops.len(),
+            ops_incomplete: self.ops_in_flight(),
             reads_checked: self.checker.reads_checked(),
             writes_recorded: self.checker.writes_recorded(),
             history: self.history.clone(),

@@ -203,8 +203,9 @@ impl Bucket {
 /// Calendar-bucketed by firing day over a sliding window, with a sorted
 /// overflow tier past it; event values live in a free-list slab (see the
 /// module docs). The observable contract is exactly the reference
-/// [`BTreeQueue`]'s: earliest-first order for the seeded path and
-/// arbitrary-key removal for the model checker.
+/// `BTreeQueue`'s (built with the `reference-queue` feature): earliest-first
+/// order for the seeded path and arbitrary-key removal for the model
+/// checker.
 #[derive(Debug)]
 pub struct EventQueue {
     /// Event storage; `None` slots are free and their indices sit in

@@ -9,10 +9,11 @@
 //! What goes in — everything future behaviour can depend on:
 //!
 //! * per-site storage and liveness (the replicas' durable state);
-//! * the run RNG (quorum picks and pacer jitter draw from it);
+//! * the run RNG (quorum picks and think-time jitter draw from it);
 //! * the coordinator's transaction machine: per-client state, every
 //!   in-flight [`crate::txn::TxnState`], the lock tables, the consistency
-//!   checker's model, the arrival pacers, and the reconfiguration machine;
+//!   checker's model, and the reconfiguration machine (an idle client's
+//!   record holds only leftovers and stays out);
 //! * the pending scripted transactions, each tagged with whether it is
 //!   already *due* (`at ≤ now`) — the only way the clock feeds behaviour;
 //! * the multiset of pending events, hashed **content-only** and combined
@@ -198,7 +199,7 @@ impl Simulation {
     fn hash_state(&self, h: &mut Fnv, canonical_sites: bool) -> u128 {
         let engine = self.engine();
         // Replica fabric: storage, staged writes, liveness — and the run
-        // RNG, which future quorum picks and pacer jitter will consume.
+        // RNG, which future quorum picks and think-time jitter will consume.
         for site in engine.sites() {
             if canonical_sites {
                 site_canonical(h, site);

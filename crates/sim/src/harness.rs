@@ -28,7 +28,7 @@ const AVAILABILITY_CHUNKS: u32 = 8;
 ///
 /// This is the *static* availability experiment — it measures exactly the
 /// quantity the paper's formulas describe, independent of timeout dynamics.
-/// The trials run as [`AVAILABILITY_CHUNKS`] seeded chunks through
+/// The trials run as eight seeded chunks through
 /// [`parallel_map`]; the split and the chunk seeds depend only on `trials`
 /// and `seed`.
 ///

@@ -117,4 +117,4 @@ pub use site::{CrashMode, Site, SiteHealth};
 pub use storage::{Staged, Storage, Version};
 pub use time::{SimDuration, SimTime};
 pub use txn::{SimReport, TxnRequest};
-pub use workload::{ArrivalPacer, ArrivalPattern, ObjectDistribution, ObjectSampler};
+pub use workload::{ObjectDistribution, ObjectSampler};

@@ -66,7 +66,6 @@ use crate::engine::Engine;
 use crate::fingerprint::Fnv;
 use crate::message::{Endpoint, Message, Payload, RangeVerdict};
 use crate::time::{SimDuration, SimTime};
-use arbitree_core::DetMap;
 use arbitree_quorum::{AliveSet, QuorumSet, ReplicaControl, ShardMap, SiteId};
 use arbitree_sync::{NodeAgg, Range, Response, Session};
 use rand::{Rng, RngCore};
@@ -128,6 +127,12 @@ struct RejoinState {
     abandoned: bool,
 }
 
+/// The state of `site`'s rejoin, which the caller knows is in progress.
+fn live(states: &mut [Option<RejoinState>], site: SiteId) -> &mut RejoinState {
+    // arbitree-lint: allow(D005) — callers run between `on_recover` and `complete`
+    states[site.index()].as_mut().expect("rejoin state exists")
+}
+
 /// Drives every in-flight rejoin. A sibling layer of the engine and the
 /// coordinator inside [`crate::Simulation`]: it owns only rejoin state and
 /// reaches sites, metrics, RNG, and the event queue through the engine it
@@ -140,7 +145,9 @@ pub struct RejoinManager {
     /// Globally monotonic epoch source; never reused, so a retry timer
     /// from any earlier state of any rejoin is permanently stale.
     next_epoch: u64,
-    states: DetMap<SiteId, RejoinState>,
+    /// Each site's rejoin in progress, indexed by [`SiteId::index`]; empty
+    /// until the run's first rejoin, so a run without one allocates nothing.
+    states: Vec<Option<RejoinState>>,
     /// Probes being sent, reused across pumps and resends; empty between
     /// calls.
     probes: Vec<(Range, NodeAgg)>,
@@ -153,14 +160,14 @@ impl RejoinManager {
             retry: config.retry,
             base: config.op_timeout,
             next_epoch: 0,
-            states: DetMap::default(),
+            states: Vec::new(),
             probes: Vec::new(),
         }
     }
 
     /// Whether `site` is currently mid-rejoin.
     pub fn is_rejoining(&self, site: SiteId) -> bool {
-        self.states.contains_key(&site)
+        self.states.get(site.index()).is_some_and(Option::is_some)
     }
 
     /// Whether a [`crate::Event::SyncRetry`] with `epoch` is permanently
@@ -169,13 +176,14 @@ impl RejoinManager {
     /// monotonic and never reused, so staleness is irreversible — the
     /// model checker may treat such an event as a no-op.
     pub fn retry_is_stale(&self, site: SiteId, epoch: u64) -> bool {
-        self.states.get(&site).is_none_or(|s| s.epoch != epoch)
+        let state = self.states.get(site.index()).and_then(Option::as_ref);
+        state.is_none_or(|s| s.epoch != epoch)
     }
 
     fn bump_epoch(&mut self, site: SiteId) {
         let epoch = self.next_epoch;
         self.next_epoch += 1;
-        if let Some(state) = self.states.get_mut(&site) {
+        if let Some(state) = self.states[site.index()].as_mut() {
             state.epoch = epoch;
         }
     }
@@ -188,7 +196,10 @@ impl RejoinManager {
         target: Option<&dyn ReplicaControl>,
         site: SiteId,
     ) {
-        let (started, abandoned) = match self.states.get(&site) {
+        if self.states.is_empty() {
+            self.states.resize_with(engine.sites.len(), || None);
+        }
+        let (started, abandoned) = match self.states[site.index()].as_ref() {
             // A transient crash interrupted this rejoin; keep the original
             // start time so rejoin latency measures the whole outage tail,
             // and count an abandoned outage once.
@@ -197,17 +208,14 @@ impl RejoinManager {
         };
         let epoch = self.next_epoch;
         self.next_epoch += 1;
-        self.states.insert(
-            site,
-            RejoinState {
-                sources: Vec::new(),
-                session: Session::new(),
-                attempt: 0,
-                epoch,
-                started,
-                abandoned,
-            },
-        );
+        self.states[site.index()] = Some(RejoinState {
+            sources: Vec::new(),
+            session: Session::new(),
+            attempt: 0,
+            epoch,
+            started,
+            abandoned,
+        });
         self.restart(engine, shards, target, site);
     }
 
@@ -228,8 +236,7 @@ impl RejoinManager {
                 .map(|i| shards.get(i))
                 .chain(target)
         };
-        // arbitree-lint: allow(D005) — every caller inserted the state first
-        let state = self.states.get_mut(&site).expect("rejoin state exists");
+        let state = live(&mut self.states, site);
         let alone =
             |p: &dyn ReplicaControl| p.write_quorums().any(|w| w.len() == 1 && w.contains(site));
         if protocols().any(alone) {
@@ -266,8 +273,7 @@ impl RejoinManager {
     /// Sends fresh probes up to the in-flight window and (re)arms the
     /// retry timer.
     fn pump(&mut self, engine: &mut Engine, site: SiteId) {
-        // arbitree-lint: allow(D005) — pump is called only with live state
-        let state = self.states.get_mut(&site).expect("rejoin state exists");
+        let state = live(&mut self.states, site);
         let Some(&source) = state.sources.first() else {
             self.arm(engine, site);
             return;
@@ -303,8 +309,7 @@ impl RejoinManager {
         } else {
             0.0
         };
-        // arbitree-lint: allow(D005) — arm is called only with live state
-        let state = self.states.get(&site).expect("rejoin state exists");
+        let state = live(&mut self.states, site);
         let delay = self.retry.delay(self.base, state.attempt, u);
         engine.arm_sync_retry(site, state.attempt, state.epoch, delay);
     }
@@ -313,7 +318,7 @@ impl RejoinManager {
     /// Stale deliveries — the rejoin completed, restarted against another
     /// source, or this range was already answered — are ignored.
     pub(crate) fn on_message(&mut self, engine: &mut Engine, site: SiteId, msg: Message) {
-        let Some(state) = self.states.get_mut(&site) else {
+        let Some(state) = self.states.get_mut(site.index()).and_then(Option::as_mut) else {
             return; // already Serving again: a late duplicate
         };
         let from_current =
@@ -366,7 +371,7 @@ impl RejoinManager {
 
     /// The last source drained (or there was none): `site` serves again.
     fn complete(&mut self, engine: &mut Engine, site: SiteId) {
-        let Some(state) = self.states.remove(&site) else {
+        let Some(state) = self.states[site.index()].take() else {
             return;
         };
         engine.sites[site.index()].mark_serving();
@@ -390,8 +395,7 @@ impl RejoinManager {
             return;
         }
         engine.metrics.sync_retries += 1;
-        // arbitree-lint: allow(D005) — retry_is_stale just proved the state live
-        let state = self.states.get_mut(&site).expect("rejoin state exists");
+        let state = live(&mut self.states, site);
         state.attempt = state.attempt.saturating_add(1);
         let source_serving = state
             .sources
@@ -425,9 +429,12 @@ impl RejoinManager {
     /// Folds the manager's state into a run fingerprint.
     pub(crate) fn fingerprint_into(&self, h: &mut Fnv) {
         h.u64(self.next_epoch);
-        h.u64(self.states.len() as u64);
-        for (site, state) in self.states.iter() {
-            h.u64(u64::from(site.as_u32()));
+        h.u64(self.states.iter().flatten().count() as u64);
+        for (site, state) in self.states.iter().enumerate() {
+            let Some(state) = state else {
+                continue;
+            };
+            h.u64(site as u64);
             // `started` feeds only the rejoin-latency metric: under a
             // controlled scheduler it is a clock label, like a
             // transaction's start stamp, so it stays out.

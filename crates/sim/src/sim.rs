@@ -244,9 +244,11 @@ impl Simulation {
     /// other event.
     pub fn event_is_noop(&self, key: EventKey) -> bool {
         match self.engine.queue.get(key) {
-            Some(Event::OpTimeout { op, attempt, .. }) => {
-                self.coordinator.timeout_is_stale(*op, *attempt)
-            }
+            Some(Event::OpTimeout {
+                client,
+                op,
+                attempt,
+            }) => self.coordinator.timeout_is_stale(*client, *op, *attempt),
             Some(Event::SyncRetry { site, epoch, .. }) => self.rejoin.retry_is_stale(*site, *epoch),
             _ => false,
         }
@@ -405,9 +407,12 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::{ObjectId, OpId};
+    use crate::config::NetworkConfig;
+    use crate::message::{Message, ObjectId, OpId};
     use crate::time::SimDuration;
+    use crate::txn::Phase;
     use arbitree_core::ArbitraryProtocol;
+    use bytes::Bytes;
     use std::collections::HashMap;
 
     fn small_config(seed: u64) -> SimConfig {
@@ -423,6 +428,89 @@ mod tests {
 
     fn proto() -> ArbitraryProtocol {
         ArbitraryProtocol::parse("1-3-5").unwrap()
+    }
+
+    /// A client's slot holds only its current transaction, so a reply or
+    /// timeout still in flight for its previous one lands on the current
+    /// record: comparing op ids is all that keeps it from counting there.
+    #[test]
+    fn a_previous_transactions_replies_and_timeouts_leave_the_current_one_alone() {
+        let reply = |phase: &Phase, op, obj, ts| match phase {
+            Phase::ReadGather => Payload::ReadResp {
+                op,
+                obj,
+                value: Bytes::new(),
+                ts,
+            },
+            Phase::PrepareGather => Payload::PrepareAck {
+                op,
+                obj,
+                ok: true,
+                ts,
+            },
+            _ => Payload::CommitAck { op, obj },
+        };
+        let (client, previous, current) = (ClientId(0), OpId(0), OpId(1));
+        for phase in [Phase::ReadGather, Phase::PrepareGather, Phase::CommitGather] {
+            let config = SimConfig {
+                clients: 1,
+                objects: 1,
+                auto_workload: false,
+                network: NetworkConfig {
+                    min_latency: SimDuration::from_micros(300),
+                    max_latency: SimDuration::from_micros(300),
+                    drop_probability: 0.0,
+                },
+                ..small_config(7)
+            };
+            let mut sim = Simulation::new(config, proto());
+            let write = TxnRequest::write(ObjectId(0), Bytes::from_static(b"v"));
+            sim.schedule_transaction(SimTime::ZERO, client, write.clone());
+            sim.schedule_transaction(SimTime::ZERO, client, write);
+            // Run until the second transaction is in `phase`.
+            loop {
+                let c = &sim.coordinator.clients[0];
+                if c.op == Some(current) && c.txn.as_ref().is_some_and(|t| t.phase == phase) {
+                    break;
+                }
+                let key = sim.engine.queue.next_key().expect("the phase is reached");
+                assert!(sim.step(key));
+            }
+            let record = |sim: &Simulation| format!("{:?}", sim.coordinator.clients[0].txn);
+            let before = record(&sim);
+            let txn = sim.coordinator.clients[0].txn.as_deref().unwrap();
+            let site = txn.pending.sites().next().expect("an ack is owed");
+            let (obj, ts, now) = (txn.objects[0].obj, txn.objects[0].write_ts, sim.engine.now);
+            let msg = |op| Message {
+                from: Endpoint::Site(site),
+                to: Endpoint::Client(client),
+                payload: reply(&phase, op, obj, ts),
+                sent_at: now,
+            };
+            let Simulation {
+                engine,
+                coordinator,
+                shards,
+                ..
+            } = &mut sim;
+            coordinator.on_client_message(engine, shards, client, msg(previous));
+            // The previous transaction armed attempts 1 to 3: its read,
+            // prepare and commit rounds.
+            for attempt in 1..=3 {
+                assert!(coordinator.timeout_is_stale(client, previous, attempt));
+                coordinator.on_timeout(engine, shards, client, previous, attempt);
+            }
+            assert_eq!(record(&sim), before, "{phase:?}");
+            // The same reply for the current transaction does count.
+            let Simulation {
+                engine,
+                coordinator,
+                shards,
+                ..
+            } = &mut sim;
+            coordinator.on_client_message(engine, shards, client, msg(current));
+            assert_ne!(record(&sim), before, "{phase:?}");
+        }
     }
 
     #[test]

@@ -8,8 +8,11 @@
 //! place — locks and the read round in ascending object order (the
 //! entries' order), prepare, commit and completion in request order
 //! (through a permutation computed once per transaction). The read round
-//! covers every entry at once, batched or not. A finished record is
-//! recycled for a later transaction with its buffers' capacity intact.
+//! covers every entry at once, batched or not.
+//!
+//! A client runs one transaction at a time, so each client's
+//! [`ClientState`] owns one record, reused in place for the client's next
+//! transaction with its buffers' capacity intact.
 //!
 //! These types carry no behaviour of their own — the
 //! [`crate::coordinator::Coordinator`] drives them and the
@@ -23,6 +26,7 @@ use crate::time::SimTime;
 use arbitree_core::{DetSet, Timestamp};
 use arbitree_quorum::{QuorumSet, ReplicaControl, SiteId};
 use bytes::Bytes;
+use std::collections::VecDeque;
 use std::fmt;
 
 /// What a transaction is doing right now.
@@ -331,13 +335,51 @@ impl fmt::Debug for Reconfig {
     }
 }
 
-/// Per-client coordinator bookkeeping.
-#[derive(Debug)]
+/// Everything the coordinator keeps for one client. A client is closed
+/// loop, so it has at most one transaction in flight, and its slot holds
+/// that transaction's record.
 pub(crate) struct ClientState {
     /// SID used in this client's write timestamps (distinct from replicas).
     pub(crate) sid: SiteId,
     pub(crate) suspected: DetSet<SiteId>,
-    pub(crate) current_op: Option<OpId>,
+    /// The id of the transaction in flight; `None` while the client idles.
+    pub(crate) op: Option<OpId>,
+    /// The record of the transaction in flight, made on the client's first
+    /// transaction and readied in place for each later one (see
+    /// [`ClientState::fresh_txn`]). Boxed and made on first use, so
+    /// building a simulation allocates no record. While the client idles
+    /// it holds the last transaction's leftovers, which no decision reads.
+    pub(crate) txn: Option<Box<TxnState>>,
+    /// Scripted transactions not yet issued, in submission order.
+    pub(crate) scripted: VecDeque<(SimTime, TxnRequest)>,
+}
+
+impl ClientState {
+    /// An idle client whose write timestamps carry `sid`.
+    pub(crate) fn new(sid: SiteId) -> Self {
+        ClientState {
+            sid,
+            suspected: DetSet::new(),
+            op: None,
+            txn: None,
+            scripted: VecDeque::new(),
+        }
+    }
+
+    /// The client's record, readied for a new transaction as
+    /// [`TxnState::reuse`] leaves it.
+    pub(crate) fn fresh_txn(
+        &mut self,
+        client: ClientId,
+        started: SimTime,
+        is_migration: bool,
+    ) -> &mut TxnState {
+        let txn = self
+            .txn
+            .get_or_insert_with(|| Box::new(TxnState::new(client, started, is_migration)));
+        txn.reuse(client, started, is_migration);
+        txn
+    }
 }
 
 /// A scripted transaction: explicit reads and writes on distinct objects.

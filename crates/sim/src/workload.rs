@@ -1,9 +1,8 @@
-//! Workload shaping: how clients choose objects and pace their operations.
+//! Workload shaping: how clients choose objects.
 //!
 //! Real replicated stores rarely see uniform access; hot objects dominate.
 //! [`ObjectDistribution::Zipfian`] models that with a power-law sampler
-//! (precomputed CDF, inverse-transform sampling), and
-//! [`ArrivalPattern::Bursty`] models on/off traffic.
+//! (precomputed CDF, inverse-transform sampling).
 //!
 //! A Zipfian CDF over `n` objects is `n` `powf` calls and `8 · n` bytes
 //! (0.7–1.5 ms and 512 KiB at 2^16 keys), and a benchmark builds many
@@ -13,7 +12,6 @@
 //! of another shape or exits. Uniform samplers hold no table and bypass the
 //! memo. The memo is per thread, so parallel sweeps share nothing.
 
-use crate::time::SimDuration;
 use rand::Rng;
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -30,22 +28,6 @@ pub enum ObjectDistribution {
     Zipfian {
         /// The skew exponent `s ≥ 0`.
         exponent: f64,
-    },
-}
-
-/// How a client paces its operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ArrivalPattern {
-    /// A steady stream with jittered think time.
-    #[default]
-    Steady,
-    /// Bursts of `burst_len` back-to-back operations separated by idle gaps
-    /// of `idle_factor ×` the think time.
-    Bursty {
-        /// Operations per burst.
-        burst_len: u32,
-        /// Idle gap between bursts, in think-time multiples.
-        idle_factor: u32,
     },
 }
 
@@ -126,49 +108,6 @@ impl ObjectSampler {
         let x: f64 = rng.gen();
         match cdf.binary_search_by(|v| v.total_cmp(&x)) {
             Ok(i) | Err(i) => (i as u32).min(self.objects - 1),
-        }
-    }
-}
-
-/// Stateful arrival pacer: returns the delay before a client's next
-/// operation.
-#[derive(Debug, Clone)]
-pub struct ArrivalPacer {
-    pattern: ArrivalPattern,
-    think: SimDuration,
-    position_in_burst: u32,
-}
-
-impl ArrivalPacer {
-    /// Creates a pacer with the given pattern and base think time.
-    pub fn new(pattern: ArrivalPattern, think: SimDuration) -> Self {
-        ArrivalPacer {
-            pattern,
-            think,
-            position_in_burst: 0,
-        }
-    }
-
-    /// Delay before the next operation. `jitter` should be a uniform sample
-    /// in `[0, 1)` supplied by the caller's RNG.
-    pub fn next_delay(&mut self, jitter: f64) -> SimDuration {
-        let base = self.think.as_micros();
-        let jittered = base + (jitter * base as f64 / 2.0) as u64;
-        match self.pattern {
-            ArrivalPattern::Steady => SimDuration::from_micros(jittered),
-            ArrivalPattern::Bursty {
-                burst_len,
-                idle_factor,
-            } => {
-                self.position_in_burst += 1;
-                if self.position_in_burst >= burst_len {
-                    self.position_in_burst = 0;
-                    SimDuration::from_micros(jittered.saturating_mul(u64::from(idle_factor).max(1)))
-                } else {
-                    // Within a burst: minimal pause.
-                    SimDuration::from_micros((base / 10).max(1))
-                }
-            }
         }
     }
 }
@@ -333,28 +272,5 @@ mod tests {
     #[should_panic(expected = "exponent")]
     fn negative_exponent_rejected() {
         let _ = ObjectSampler::new(2, ObjectDistribution::Zipfian { exponent: -1.0 });
-    }
-
-    #[test]
-    fn steady_pacer_jitters_around_think_time() {
-        let mut p = ArrivalPacer::new(ArrivalPattern::Steady, SimDuration::from_micros(1000));
-        let d0 = p.next_delay(0.0).as_micros();
-        let d1 = p.next_delay(0.99).as_micros();
-        assert_eq!(d0, 1000);
-        assert!((1400..=1500).contains(&d1), "{d1}");
-    }
-
-    #[test]
-    fn bursty_pacer_alternates_fast_and_idle() {
-        let mut p = ArrivalPacer::new(
-            ArrivalPattern::Bursty {
-                burst_len: 3,
-                idle_factor: 10,
-            },
-            SimDuration::from_micros(1000),
-        );
-        let delays: Vec<u64> = (0..6).map(|_| p.next_delay(0.0).as_micros()).collect();
-        // Two fast gaps, then an idle one, repeating.
-        assert_eq!(delays, vec![100, 100, 10_000, 100, 100, 10_000]);
     }
 }

@@ -196,17 +196,13 @@ fn offline_check_covers_reconfiguration_histories() {
 }
 
 #[test]
-fn zipfian_and_bursty_workloads_stay_consistent() {
-    use arbitree_sim::{ArrivalPattern, ObjectDistribution};
+fn zipfian_workloads_stay_consistent() {
+    use arbitree_sim::ObjectDistribution;
     for seed in 0..6u64 {
         let proto = ArbitraryProtocol::parse("1-3-5").unwrap();
         let mut config = churn_config(seed, 0.02);
         config.objects = 6;
         config.object_distribution = ObjectDistribution::Zipfian { exponent: 1.1 };
-        config.arrival_pattern = ArrivalPattern::Bursty {
-            burst_len: 4,
-            idle_factor: 8,
-        };
         config.record_history = true;
         let report = run_simulation(config, proto, &churn_schedule(8, seed + 200));
         assert!(
