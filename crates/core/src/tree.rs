@@ -133,7 +133,8 @@ impl ArbitraryTree {
     /// Returns any [`TreeError`] the spec's [`TreeSpec::validate`] reports.
     pub fn from_spec(spec: &TreeSpec) -> Result<Self, TreeError> {
         spec.validate()?;
-        let mut nodes: Vec<Node> = Vec::new();
+        let node_count = spec.levels().iter().map(|l| l.total()).sum();
+        let mut nodes: Vec<Node> = Vec::with_capacity(node_count);
         let mut levels: Vec<Vec<NodeId>> = Vec::with_capacity(spec.levels().len());
         let mut sites_by_level: Vec<Vec<SiteId>> = Vec::with_capacity(spec.levels().len());
         let mut site_levels: Vec<usize> = Vec::new();

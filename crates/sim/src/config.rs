@@ -27,18 +27,25 @@ impl Default for NetworkConfig {
 /// How a coordinator paces phase timeouts across retry attempts.
 ///
 /// The timeout armed for a phase *is* the retry interval: when it fires the
-/// phase restarts (or, past the commit point, re-sends). Under a partition
-/// or drop burst a fixed interval produces a retry storm — every blocked
-/// coordinator re-probes at the same cadence; exponential backoff spreads
-/// and thins those probes while staying fully deterministic per seed (the
-/// jitter is drawn from the run's own RNG).
+/// phase restarts (or, past the commit point, re-sends). The policy maps
+/// a base timeout and an attempt number to a delay ([`RetryPolicy::delay`]).
+/// Attempt 0 — a transaction that has not retried — takes as its base its
+/// client's measured round-trip timeout, which never exceeds
+/// [`SimConfig::op_timeout`]; attempt `k ≥ 1` takes `op_timeout` itself.
+/// So `op_timeout` is the first value of the configured schedule and the
+/// ceiling of the measured one. Under a partition or drop burst a
+/// fixed interval produces a retry storm — every blocked coordinator
+/// re-probes at the same cadence; exponential backoff spreads and thins
+/// those probes while staying fully deterministic per seed (the jitter is
+/// drawn from the run's own RNG).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum RetryPolicy {
-    /// Every attempt arms the same [`SimConfig::op_timeout`].
+    /// Every retry arms the same [`SimConfig::op_timeout`].
     #[default]
     Fixed,
-    /// Attempt `k` arms `min(op_timeout · 2^k, cap)`, stretched by a
-    /// deterministic seeded jitter uniform in `[0, jitter·delay]`.
+    /// Attempt `k` arms `min(base · 2^k, cap)`, stretched by a
+    /// deterministic seeded jitter uniform in `[0, jitter·delay]`; `base`
+    /// is the measured timeout at attempt 0 and `op_timeout` after.
     Exponential {
         /// Upper bound on the backed-off delay (`cap ≥ op_timeout`).
         cap: SimDuration,
@@ -88,7 +95,11 @@ pub struct SimConfig {
     /// Think time between a client's operations: each wait is drawn
     /// uniformly from `[think_time, 1.5 · think_time)`.
     pub think_time: SimDuration,
-    /// Coordinator phase timeout (should exceed two max latencies).
+    /// Coordinator phase timeout: the first value of a retried phase's
+    /// backoff ([`RetryPolicy`]) and the ceiling of a first attempt's
+    /// timeout, which each client otherwise measures from its phases'
+    /// round trips (RFC 6298) and keeps above `2·max_latency`. Must exceed
+    /// two max latencies.
     pub op_timeout: SimDuration,
     /// Maximum quorum-assembly attempts before an operation fails.
     pub max_attempts: u32,

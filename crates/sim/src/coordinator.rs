@@ -40,7 +40,8 @@ use crate::message::{ClientId, Endpoint, Message, ObjectId, OpId, Payload};
 use crate::metrics::SiteCounts;
 use crate::time::{SimDuration, SimTime};
 use crate::txn::{
-    ClientState, MigrationPhase, Phase, Reconfig, SimReport, TxnObject, TxnRequest, TxnState,
+    ClientState, MigrationPhase, Phase, Reconfig, RttEstimator, SimReport, TxnObject, TxnRequest,
+    TxnState,
 };
 use crate::workload::ObjectSampler;
 use arbitree_core::{DetSet, Timestamp};
@@ -143,8 +144,9 @@ impl Coordinator {
         for c in &self.clients {
             h.debug(&(c.sid, &c.suspected, c.op));
             // An idle client's record is leftovers; of an in-flight one,
-            // every field except `started`, which only feeds the latency
-            // metric and history stamps (observational).
+            // every field except `started` and the phase stamps, which feed
+            // only the latency metrics, history stamps and timer times
+            // (like the client's `rtt`, left out too).
             if let (Some(_), Some(s)) = (c.op, &c.txn) {
                 h.debug(&s.client);
                 h.debug(&s.phase);
@@ -282,22 +284,35 @@ impl Coordinator {
         alive
     }
 
-    /// Arms the phase timeout under the configured [`RetryPolicy`]: attempt
-    /// `k` of a transaction waits `retry.delay(op_timeout, k, u)` with a
-    /// deterministic jitter draw `u` from the run's RNG (no draw under
-    /// [`RetryPolicy::Fixed`], keeping fixed-policy runs byte-identical to
-    /// the pre-backoff simulator).
+    /// Arms the phase timeout. A transaction's first attempt at a phase
+    /// waits the client's measured round-trip timeout (RFC 6298's, see
+    /// [`RttEstimator`]), at least the worst fault-free round trip
+    /// `2·max_latency + 1 µs` and at most `op_timeout`; once it retried,
+    /// attempt `k` waits `retry.delay(op_timeout, k, u)` as configured.
+    /// Either way the delay takes a deterministic jitter draw `u` from the
+    /// run's RNG under a jittered [`RetryPolicy`].
     ///
     /// [`RetryPolicy`]: crate::config::RetryPolicy
-    /// [`RetryPolicy::Fixed`]: crate::config::RetryPolicy::Fixed
-    fn arm_timeout(config: &SimConfig, engine: &mut Engine, op: OpId, state: &mut TxnState) {
+    fn arm_timeout(
+        config: &SimConfig,
+        engine: &mut Engine,
+        rtt: &RttEstimator,
+        op: OpId,
+        state: &mut TxnState,
+    ) {
         let u = if config.retry.uses_jitter() {
             engine.rng.gen::<f64>()
         } else {
             0.0
         };
         state.phase_counter += 1;
-        let delay = config.retry.delay(config.op_timeout, state.attempts, u);
+        let base = if state.attempts == 0 {
+            let floor = config.network.max_latency.saturating_mul(2) + SimDuration::from_micros(1);
+            rtt.timeout(floor, config.op_timeout)
+        } else {
+            config.op_timeout
+        };
+        let delay = config.retry.delay(base, state.attempts, u);
         engine.arm_timeout(state.client, op, state.phase_counter, delay);
     }
 
@@ -441,8 +456,9 @@ impl Coordinator {
     /// its object's own shard in object order, gets its `ReadReq`s in this
     /// one event (with [`SimConfig::batching`] on, requests sharing a
     /// destination site coalesce into one envelope). A retry — the
-    /// transaction is already gathering — re-picks and re-sends only the
-    /// objects still owed a response; every best value and response
+    /// transaction is already gathering — re-picks the quorums of only the
+    /// objects still owed a response and asks only the members that have
+    /// not answered for the object yet; every best value and response
     /// gathered so far stays.
     fn start_read_round(&mut self, engine: &mut Engine, shards: &mut ShardMap, client: ClientId) {
         let c = &mut self.clients[client.0 as usize];
@@ -471,23 +487,31 @@ impl Coordinator {
             return;
         }
         if !retry {
-            s.phase = Phase::ReadGather;
+            s.enter(Phase::ReadGather, engine.now);
             s.pending.clear();
             s.responses.clear();
         }
         for e in &s.objects {
-            if !retry {
+            let owed = if retry {
+                // A member that already answered for the object is not
+                // asked again: its answer holds while the lock is held.
+                let answered = s.responses.iter().filter(|r| r.0 == e.obj).map(|r| r.1);
+                match s.pending.replace_quorum(e.obj, &e.read_quorum, answered) {
+                    Some(owed) => owed,
+                    None => continue, // answered, before or now
+                }
+            } else {
                 s.pending.add_quorum(e.obj, &e.read_quorum);
-            } else if !s.pending.replace_quorum(e.obj, &e.read_quorum) {
-                continue; // answered
-            }
-            engine.send_to_sites(
-                s.client,
-                &e.read_quorum,
-                Payload::ReadReq { op, obj: e.obj },
-            );
+                &e.read_quorum
+            };
+            engine.send_to_sites(s.client, owed, Payload::ReadReq { op, obj: e.obj });
         }
-        Self::arm_timeout(&self.config, engine, op, s);
+        if s.pending.is_empty() {
+            // Every re-picked quorum had already answered in full.
+            self.finish_read_round(engine, shards, client);
+            return;
+        }
+        Self::arm_timeout(&self.config, engine, &c.rtt, op, s);
     }
 
     /// The read phase finished: repair its stale responders, then stamp the
@@ -596,14 +620,14 @@ impl Coordinator {
             s.objects[i].write_quorum = q;
         }
         Self::send_writes(engine, op, s, Phase::PrepareGather);
-        Self::arm_timeout(&self.config, engine, op, s);
+        Self::arm_timeout(&self.config, engine, &c.rtt, op, s);
     }
 
     /// Sends `phase`'s message — `Prepare` or `Commit` — to every written
     /// object's write quorum, in request order, and expects an acknowledgement
     /// from each member.
     fn send_writes(engine: &mut Engine, op: OpId, state: &mut TxnState, phase: Phase) {
-        state.phase = phase;
+        state.enter(phase, engine.now);
         state.pending.clear();
         // Field by field, not `in_request_order()`: `pending` is written.
         let in_request_order = state.order.iter().map(|&i| &state.objects[i]);
@@ -633,11 +657,12 @@ impl Coordinator {
             let held = s.locks_held;
             self.release_locks(engine, shards, client, op, held);
         }
-        let Some(s) = self.clients[client.0 as usize].txn.as_deref_mut() else {
+        let c = &mut self.clients[client.0 as usize];
+        let Some(s) = c.txn.as_deref_mut() else {
             return;
         };
         Self::send_writes(engine, op, s, Phase::CommitGather);
-        Self::arm_timeout(&self.config, engine, op, s);
+        Self::arm_timeout(&self.config, engine, &c.rtt, op, s);
     }
 
     /// The transaction gives up: abort staged writes, release locks, count
@@ -695,8 +720,7 @@ impl Coordinator {
             self.complete_migration_op(engine, shards, op);
             return;
         }
-        let latency = engine.now - state.started;
-        engine.metrics.record_latency(latency);
+        engine.metrics.record_latency(state.phase_times(engine.now));
         let unwritten = (Timestamp::ZERO, Bytes::new());
         for e in state.in_request_order() {
             let (kind, ts) = if e.is_write() {
@@ -941,6 +965,7 @@ impl Coordinator {
                     }
                 }
                 if state.pending.is_empty() {
+                    c.rtt.sample_phase(state, engine.now);
                     self.finish_read_round(engine, shards, client);
                 }
             }
@@ -968,6 +993,7 @@ impl Coordinator {
                 }
                 state.pending.remove(*obj, from);
                 if state.pending.is_empty() {
+                    c.rtt.sample_phase(state, engine.now);
                     self.start_commit_phase(engine, shards, client);
                 }
             }
@@ -977,6 +1003,7 @@ impl Coordinator {
                 // acknowledgement instead of waiting for the full quorum.
                 let premature = matches!(self.config.fault, Some(FaultInjection::StaleCommitAck));
                 if acked && (state.pending.is_empty() || premature) {
+                    c.rtt.sample_phase(state, engine.now);
                     self.complete_op(engine, shards, client);
                 }
             }
@@ -1074,7 +1101,7 @@ impl Coordinator {
                     };
                     engine.send_to_site(client, site, commit);
                 }
-                Self::arm_timeout(&self.config, engine, op, state);
+                Self::arm_timeout(&self.config, engine, &c.rtt, op, state);
             }
         }
     }

@@ -107,7 +107,7 @@ pub use harness::{
 pub use history::{History, HistoryEvent, HistoryKind, HistoryViolation};
 pub use locks::{LockManager, LockMode};
 pub use message::{ClientId, Endpoint, Message, ObjectId, OpId, Payload, RangeVerdict};
-pub use metrics::{LatencyHistogram, SimMetrics, SiteCounts};
+pub use metrics::{LatencyHistogram, PhaseTimes, SimMetrics, SiteCounts};
 pub use nemesis::{build_profile, Nemesis, NemesisAction, NemesisKind};
 pub use network::{Network, Partition};
 pub use recovery::{write_mate_sources, RejoinManager};

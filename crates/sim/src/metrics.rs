@@ -144,6 +144,36 @@ impl LatencyHistogram {
     }
 }
 
+/// Time transactions spent in each coordinator phase, summed over
+/// transactions: from issue to holding every lock, gathering read
+/// responses (retries included), gathering prepare votes, and gathering
+/// commit acks.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PhaseTimes {
+    /// Waiting for locks held by other transactions.
+    pub lock_wait: SimDuration,
+    /// The read round over every object, retries included.
+    pub read_gather: SimDuration,
+    /// 2PC phase 1, re-picks included.
+    pub prepare_gather: SimDuration,
+    /// 2PC phase 2, re-sends included.
+    pub commit_gather: SimDuration,
+}
+
+impl PhaseTimes {
+    /// The four phases' sum.
+    pub fn total(&self) -> SimDuration {
+        self.lock_wait + self.read_gather + self.prepare_gather + self.commit_gather
+    }
+
+    fn add(&mut self, other: &PhaseTimes) {
+        self.lock_wait = self.lock_wait + other.lock_wait;
+        self.read_gather = self.read_gather + other.read_gather;
+        self.prepare_gather = self.prepare_gather + other.prepare_gather;
+        self.commit_gather = self.commit_gather + other.commit_gather;
+    }
+}
+
 /// Aggregated simulation metrics.
 #[derive(Clone, Default, PartialEq)]
 pub struct SimMetrics {
@@ -257,6 +287,8 @@ pub struct SimMetrics {
     pub total_latency: SimDuration,
     /// Number of latency samples in `total_latency`.
     pub latency_samples: u64,
+    /// `total_latency` split by phase: it sums to `total_latency` exactly.
+    pub phase_time: PhaseTimes,
 }
 
 impl SimMetrics {
@@ -265,11 +297,13 @@ impl SimMetrics {
         self.site_requests.increment(site);
     }
 
-    /// Records a completed-operation latency.
-    pub fn record_latency(&mut self, latency: SimDuration) {
+    /// Records a committed transaction's latency, split by phase.
+    pub fn record_latency(&mut self, phases: PhaseTimes) {
+        let latency = phases.total();
         self.total_latency = self.total_latency + latency;
         self.latency_samples += 1;
         self.latency_histogram.record(latency);
+        self.phase_time.add(&phases);
     }
 
     /// Mean operation latency, if any sample exists.
@@ -433,7 +467,8 @@ impl fmt::Debug for SimMetrics {
                 aborts_reconfig,
                 latency_histogram,
                 total_latency,
-                latency_samples
+                latency_samples,
+                phase_time
             ]
         )
     }
@@ -512,9 +547,17 @@ mod tests {
     fn latency_accounting() {
         let mut m = SimMetrics::default();
         assert!(m.mean_latency().is_none());
-        m.record_latency(SimDuration::from_micros(100));
-        m.record_latency(SimDuration::from_micros(300));
+        let phases = |lock, read, prepare, commit| PhaseTimes {
+            lock_wait: SimDuration::from_micros(lock),
+            read_gather: SimDuration::from_micros(read),
+            prepare_gather: SimDuration::from_micros(prepare),
+            commit_gather: SimDuration::from_micros(commit),
+        };
+        m.record_latency(phases(10, 90, 0, 0));
+        m.record_latency(phases(0, 100, 100, 100));
         assert_eq!(m.mean_latency().unwrap().as_micros(), 200);
+        assert_eq!(m.phase_time, phases(10, 190, 100, 100));
+        assert_eq!(m.phase_time.total(), m.total_latency);
     }
 
     #[test]

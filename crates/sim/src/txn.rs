@@ -21,8 +21,8 @@
 use crate::history::History;
 use crate::locks::LockMode;
 use crate::message::{ClientId, ObjectId, OpId};
-use crate::metrics::SimMetrics;
-use crate::time::SimTime;
+use crate::metrics::{PhaseTimes, SimMetrics};
+use crate::time::{SimDuration, SimTime};
 use arbitree_core::{DetSet, Timestamp};
 use arbitree_quorum::{QuorumSet, ReplicaControl, SiteId};
 use bytes::Bytes;
@@ -53,6 +53,11 @@ pub(crate) struct TxnState {
     pub(crate) client: ClientId,
     pub(crate) phase: Phase,
     pub(crate) started: SimTime,
+    /// When the current phase began: for a gather phase, when its
+    /// requests went out.
+    pub(crate) phase_since: SimTime,
+    /// Time spent in each phase left so far.
+    pub(crate) phase_time: PhaseTimes,
     /// Bumped on every phase (re)start; stale timeouts carry the old value.
     pub(crate) phase_counter: u64,
     /// Quorum re-pick attempts consumed.
@@ -131,6 +136,8 @@ impl TxnState {
             client,
             phase: Phase::LockWait,
             started,
+            phase_since: started,
+            phase_time: PhaseTimes::default(),
             phase_counter: 0,
             attempts: 0,
             objects: Vec::new(),
@@ -193,6 +200,29 @@ impl TxnState {
         self.order.iter().map(|&i| &self.objects[i])
     }
 
+    /// Moves the transaction into `phase` at `now`, charging the time since
+    /// the last move to the phase it leaves (a retry that stays in its
+    /// phase charges it too).
+    pub(crate) fn enter(&mut self, phase: Phase, now: SimTime) {
+        self.phase_time = self.phase_times(now);
+        self.phase = phase;
+        self.phase_since = now;
+    }
+
+    /// The time spent in each phase up to `now`, the current one included.
+    /// The four sum to `now - started`.
+    pub(crate) fn phase_times(&self, now: SimTime) -> PhaseTimes {
+        let mut times = self.phase_time;
+        let slot = match self.phase {
+            Phase::LockWait => &mut times.lock_wait,
+            Phase::ReadGather => &mut times.read_gather,
+            Phase::PrepareGather => &mut times.prepare_gather,
+            Phase::CommitGather => &mut times.commit_gather,
+        };
+        *slot = *slot + (now - self.phase_since);
+        times
+    }
+
     /// The entry of `obj`, if the transaction touches it.
     pub(crate) fn object_mut(&mut self, obj: ObjectId) -> Option<&mut TxnObject> {
         let i = self.objects.binary_search_by_key(&obj, |e| e.obj).ok()?;
@@ -224,15 +254,28 @@ impl AckSet {
         }
     }
 
-    /// Expects an acknowledgement from every member of `quorum` for `obj`
-    /// in place of the sites it still owes, keeping its place in the
-    /// order; `false`, changing nothing, if nothing is owed for `obj`.
-    pub(crate) fn replace_quorum(&mut self, obj: ObjectId, quorum: &QuorumSet) -> bool {
-        let Some((_, sites)) = self.entries.iter_mut().find(|(o, _)| *o == obj) else {
-            return false;
-        };
+    /// Expects an acknowledgement for `obj` from every member of `quorum`
+    /// but those in `answered`, in place of the sites it still owes and
+    /// keeping its place in the order, and returns the sites now owed.
+    /// `None` if nothing was owed for `obj` (nothing changes) or nothing
+    /// is owed any more (the object is dropped).
+    pub(crate) fn replace_quorum(
+        &mut self,
+        obj: ObjectId,
+        quorum: &QuorumSet,
+        answered: impl IntoIterator<Item = SiteId>,
+    ) -> Option<&QuorumSet> {
+        let i = self.entries.iter().position(|(o, _)| *o == obj)?;
+        let sites = &mut self.entries[i].1;
         sites.clone_from(quorum);
-        true
+        for site in answered {
+            sites.remove(site);
+        }
+        if sites.is_empty() {
+            self.entries.remove(i);
+            return None;
+        }
+        Some(&self.entries[i].1)
     }
 
     /// Expects an acknowledgement from `site` for `obj`, whether or not it
@@ -335,6 +378,52 @@ impl fmt::Debug for Reconfig {
     }
 }
 
+/// A client's estimate of one phase's round trip, kept the way RFC 6298
+/// keeps TCP's (Jacobson, SIGCOMM 1988): a smoothed round-trip time
+/// `SRTT` and its mean deviation `RTTVAR`, in integer microseconds.
+///
+/// A sample is the time from sending a phase's requests to the ack that
+/// completes it, taken only while the transaction never retried (Karn's
+/// rule: after a re-send, an ack does not tell which send it answers).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct RttEstimator {
+    /// `(SRTT, RTTVAR)` in µs; `None` until the first sample.
+    est: Option<(u64, u64)>,
+}
+
+impl RttEstimator {
+    /// Folds in one round trip: the first sets `SRTT = R, RTTVAR = R/2`,
+    /// later ones `RTTVAR ← ¾·RTTVAR + ¼·|SRTT − R|`, then
+    /// `SRTT ← ⅞·SRTT + ⅛·R`.
+    pub(crate) fn sample(&mut self, rtt: SimDuration) {
+        let r = rtt.as_micros();
+        self.est = Some(match self.est {
+            None => (r, r / 2),
+            Some((srtt, rttvar)) => ((7 * srtt + r) / 8, (3 * rttvar + srtt.abs_diff(r)) / 4),
+        });
+    }
+
+    /// Samples `txn`'s current phase, completed at `now`: its round trip
+    /// from the requests' send, unless the transaction retried.
+    pub(crate) fn sample_phase(&mut self, txn: &TxnState, now: SimTime) {
+        if txn.attempts == 0 {
+            self.sample(now - txn.phase_since);
+        }
+    }
+
+    /// The phase timeout: `SRTT + max(4·RTTVAR, SRTT)`, raised to `floor`
+    /// and cut to `ceiling`; `ceiling` before the first sample. The
+    /// `SRTT` term keeps the timeout at twice the round trip or more once
+    /// `RTTVAR` decays, as it does to 0 under a fixed link latency.
+    pub(crate) fn timeout(&self, floor: SimDuration, ceiling: SimDuration) -> SimDuration {
+        let Some((srtt, rttvar)) = self.est else {
+            return ceiling;
+        };
+        let rto = srtt.saturating_add((4 * rttvar).max(srtt));
+        SimDuration::from_micros(rto.max(floor.as_micros())).min(ceiling)
+    }
+}
+
 /// Everything the coordinator keeps for one client. A client is closed
 /// loop, so it has at most one transaction in flight, and its slot holds
 /// that transaction's record.
@@ -342,6 +431,10 @@ pub(crate) struct ClientState {
     /// SID used in this client's write timestamps (distinct from replicas).
     pub(crate) sid: SiteId,
     pub(crate) suspected: DetSet<SiteId>,
+    /// The client's phase round-trip estimate, which times its
+    /// transactions' first attempts. It sets only event times, so the
+    /// state fingerprint leaves it out.
+    pub(crate) rtt: RttEstimator,
     /// The id of the transaction in flight; `None` while the client idles.
     pub(crate) op: Option<OpId>,
     /// The record of the transaction in flight, made on the client's first
@@ -360,6 +453,7 @@ impl ClientState {
         ClientState {
             sid,
             suspected: DetSet::new(),
+            rtt: RttEstimator::default(),
             op: None,
             txn: None,
             scripted: VecDeque::new(),
@@ -452,19 +546,80 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// A retry's re-picked quorum replaces what its object still owes, in
-    /// the object's place; an object owing nothing is left out.
+    /// A retry's re-picked quorum, less the members that already
+    /// answered, replaces what its object still owes, in the object's
+    /// place; an object owing nothing, or whose whole new quorum already
+    /// answered, is left out.
     #[test]
     fn replace_quorum_replaces_what_an_object_owes_in_place() {
         let mut acks = AckSet::default();
         acks.add_quorum(ObjectId(1), &QuorumSet::from_indices([1, 2]));
         acks.add_quorum(ObjectId(2), &QuorumSet::from_indices([3]));
+        acks.add_quorum(ObjectId(4), &QuorumSet::from_indices([7, 8]));
         assert!(acks.remove(ObjectId(1), SiteId::new(1)));
-        assert!(acks.replace_quorum(ObjectId(1), &QuorumSet::from_indices([4, 5])));
-        assert!(!acks.replace_quorum(ObjectId(3), &QuorumSet::from_indices([6])));
+        let owed = acks.replace_quorum(
+            ObjectId(1),
+            &QuorumSet::from_indices([1, 4, 5]),
+            [SiteId::new(1)],
+        );
+        assert_eq!(owed, Some(&QuorumSet::from_indices([4, 5])));
+        assert!(acks
+            .replace_quorum(ObjectId(3), &QuorumSet::from_indices([6]), [])
+            .is_none());
+        assert!(acks.remove(ObjectId(4), SiteId::new(7)));
+        let answered = [SiteId::new(7), SiteId::new(9)];
+        let q = QuorumSet::from_indices([7, 9]);
+        assert!(acks.replace_quorum(ObjectId(4), &q, answered).is_none());
         let got: Vec<(u32, u32)> = acks.iter().map(|(o, s)| (o.0, s.as_u32())).collect();
         assert_eq!(got, [(1, 4), (1, 5), (2, 3)]);
-        assert!(acks.owes(ObjectId(2)) && !acks.owes(ObjectId(3)));
+        assert!(acks.owes(ObjectId(2)) && !acks.owes(ObjectId(3)) && !acks.owes(ObjectId(4)));
+    }
+
+    /// RFC 6298's estimator: the first sample R gives `(R, R/2)`, later
+    /// ones the integer EWMA update, and the timeout is
+    /// `SRTT + max(4·RTTVAR, SRTT)` within its floor and ceiling.
+    #[test]
+    fn rtt_estimator_follows_rfc_6298() {
+        let us = SimDuration::from_micros;
+        let (floor, ceiling) = (us(1), us(3_000));
+        let mut rtt = RttEstimator::default();
+        assert_eq!(rtt.timeout(floor, ceiling), ceiling, "no sample yet");
+        rtt.sample(us(600));
+        assert_eq!(rtt.est, Some((600, 300)));
+        assert_eq!(rtt.timeout(floor, ceiling), us(600 + 1_200));
+        // RTTVAR ← (3·300 + |600 − 1000|) / 4 = 325, SRTT ← (7·600 + 1000) / 8 = 650.
+        rtt.sample(us(1_000));
+        assert_eq!(rtt.est, Some((650, 325)));
+        assert_eq!(rtt.timeout(floor, ceiling), us(650 + 1_300));
+        // Under a fixed round trip RTTVAR decays to 0 and SRTT holds the
+        // timeout at twice the round trip.
+        let mut fixed = RttEstimator::default();
+        for _ in 0..40 {
+            fixed.sample(us(600));
+        }
+        assert_eq!(fixed.est, Some((600, 0)));
+        assert_eq!(fixed.timeout(floor, ceiling), us(1_200));
+        assert_eq!(fixed.timeout(us(1_500), ceiling), us(1_500), "floor");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Whatever it sampled, the timeout stays within its floor and its
+        /// ceiling, `op_timeout`.
+        #[test]
+        fn rtt_timeout_never_exceeds_its_ceiling(
+            samples in proptest::collection::vec(0u64..100_000, 0..32),
+            floor in 0u64..2_000,
+            ceiling in 2_000u64..50_000,
+        ) {
+            let mut rtt = RttEstimator::default();
+            for r in samples {
+                rtt.sample(SimDuration::from_micros(r));
+                let t = rtt.timeout(SimDuration::from_micros(floor), SimDuration::from_micros(ceiling));
+                prop_assert!(t.as_micros() <= ceiling && t.as_micros() >= floor);
+            }
+        }
     }
 
     proptest! {

@@ -624,8 +624,12 @@ fn repair_smoke_table_is_pinned_across_engine_swaps() {
 /// `batching` says, and a read retry began re-sending only the objects
 /// still owed a response: its unbatched cells' multi-object reads finish
 /// in one round trip instead of one per object, so every later event
-/// moves.
-const PINNED_CHAOS_CAMPAIGN: u64 = 14785949767217873562;
+/// moves. The chaos pin was re-taken once when a transaction's first
+/// attempt at a phase began timing out after its client's measured round
+/// trip instead of `op_timeout`, and a read retry stopped asking members
+/// that already answered: the cells' lost messages and crashed members
+/// are detected sooner, so every later event moves.
+const PINNED_CHAOS_CAMPAIGN: u64 = 7784984630653998499;
 const PINNED_THROUGHPUT_SMOKE: u64 = 9929213787621801240;
 const PINNED_REPAIR_SMOKE: u64 = 8898867257685442620;
 
@@ -737,8 +741,12 @@ fn coordinator_branches_are_pinned() {
 /// `batching` says, with a read retry re-sending only the objects still
 /// owed a response: the unbatched cells read their multi-object
 /// transactions in parallel, and the batched cells' read retries pick
-/// fewer quorums.
-const PINNED_COORDINATOR_BRANCHES: u64 = 15902667709453420439;
+/// fewer quorums. Re-taken once more when first attempts began timing out
+/// after the client's measured round trip (the faulty cells detect losses
+/// sooner), a read retry stopped asking members that already answered,
+/// and the metrics began splitting latency by phase (`phase_time` is part
+/// of the dump).
+const PINNED_COORDINATOR_BRANCHES: u64 = 3086223232058020134;
 
 /// Amnesia cold start layered over uncorrelated churn (the chaos-campaign
 /// composition): still consistent, still no service from Syncing sites.

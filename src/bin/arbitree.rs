@@ -73,10 +73,23 @@ where
         .map_err(|e| format!("invalid {what}: {e}"))
 }
 
+/// Argument `i` as a probability in `[0, 1]` (NaN is not one).
+fn prob(args: &[String], i: usize, what: &str) -> Result<f64, String> {
+    let x: f64 = arg(args, i, what)?;
+    if (0.0..=1.0).contains(&x) {
+        Ok(x)
+    } else {
+        Err(format!(
+            "invalid {what}: {x} is not a probability in [0, 1]"
+        ))
+    }
+}
+
+/// The optional site availability `p` at argument `i`, 0.8 if absent.
 fn opt_p(args: &[String], i: usize) -> Result<f64, String> {
     match args.get(i) {
         None => Ok(0.8),
-        Some(_) => arg(args, i, "p"),
+        Some(_) => prob(args, i, "p"),
     }
 }
 
@@ -121,7 +134,7 @@ fn render(args: &[String]) -> CliResult {
 
 fn plan_cmd(args: &[String]) -> CliResult {
     let n: usize = arg(args, 0, "n")?;
-    let read_fraction: f64 = arg(args, 1, "read fraction")?;
+    let read_fraction = prob(args, 1, "read fraction")?;
     let p = opt_p(args, 2)?;
     let best = plan(n, Workload::new(read_fraction, p))?;
     println!("best shape: {best}");
@@ -338,8 +351,19 @@ fn simulate(args: &[String]) -> CliResult {
 }
 
 fn print_report(report: &arbitree::SimReport) -> CliResult {
-    println!("{}", report.metrics);
-    println!("mean latency : {:?}", report.metrics.mean_latency());
+    let m = &report.metrics;
+    println!("{m}");
+    println!("mean latency : {:?}", m.mean_latency());
+    let t = &m.phase_time;
+    let share = |d: SimDuration| 100.0 * d.as_micros() as f64 / t.total().as_micros().max(1) as f64;
+    println!(
+        "phase time   : lock wait {:.1}%, read {:.1}%, prepare {:.1}%, commit {:.1}% of {}",
+        share(t.lock_wait),
+        share(t.read_gather),
+        share(t.prepare_gather),
+        share(t.commit_gather),
+        m.total_latency
+    );
     println!("incomplete   : {}", report.ops_incomplete);
     println!("consistent   : {}", report.consistent);
     if !report.consistent {

@@ -97,6 +97,27 @@ fn simulate_rejects_unknown_arguments() {
 }
 
 #[test]
+fn out_of_range_probabilities_are_errors_not_panics() {
+    for bad in ["1.5", "-1", "nan"] {
+        for args in [
+            &["analyze", "1-3", bad][..],
+            &["plan", "16", bad],
+            &["plan", "16", "0.5", bad],
+            &["frontier", "12", bad],
+            &["compare", "27", bad],
+        ] {
+            let (ok, stdout, stderr) = run(args);
+            assert!(!ok, "{args:?} should fail");
+            assert!(stdout.is_empty(), "{args:?}: {stdout}");
+            assert!(
+                stderr.starts_with("error: ") && !stderr.contains("panicked"),
+                "{args:?}: {stderr}"
+            );
+        }
+    }
+}
+
+#[test]
 fn faults_reports_blocking_numbers() {
     let (ok, stdout, _) = run(&["faults", "1-3-5"]);
     assert!(ok);
