@@ -2,9 +2,8 @@
 //!
 //! Because the lock manager serializes conflicting operations per object,
 //! committed operations on one object form a total order. The checker keeps
-//! the last *committed* version per object and verifies that every read
-//! returns it — or a newer timestamp the coordinator legitimately observed
-//! (which the checker then promotes, since the read has made it visible).
+//! the last *committed* version per object and verifies that every read,
+//! checked while its shared lock is held, returns it exactly.
 
 use crate::message::{ObjectId, OpId};
 use arbitree_core::{DetMap, Timestamp};
@@ -76,10 +75,14 @@ impl ConsistencyChecker {
         model.committed_value = value;
     }
 
-    /// Checks a completed read: it must return the committed version
-    /// exactly — both timestamp and value. (Reads run under a shared lock,
-    /// so no write commits concurrently; the quorum-intersection argument
-    /// guarantees visibility of the last committed write.)
+    /// Checks a read: it must return the committed version exactly — both
+    /// timestamp and value. The coordinator calls it when a transaction's
+    /// read round ends, while the read's shared lock is still held, so no
+    /// write to the object commits in between, and the quorum-intersection
+    /// argument guarantees visibility of the last committed write. So the
+    /// reads of a transaction that aborts later are checked too; after the
+    /// round the shared lock goes, and a later check could meet a newer
+    /// write.
     pub fn check_read(&mut self, op: OpId, obj: ObjectId, value: &Bytes, ts: Timestamp) {
         self.reads_checked += 1;
         // A never-written object is at `Timestamp::ZERO` with an empty

@@ -19,6 +19,13 @@
 //! names transactions by op id, so a lock grant finds its client by
 //! scanning the slots.
 //!
+//! A transaction takes every lock before its first read, so its lock
+//! point is passed when its read round starts. It keeps its shared locks
+//! until the read round ends and its exclusive ones until the last commit
+//! ack: strict two-phase locking, not rigorous, and still serializable
+//! (no lock is taken after one is released). A read is checked when the
+//! read round ends, while its shared lock still holds writers off.
+//!
 //! The keyspace is *sharded*: objects hash across the
 //! [`ShardMap`]'s independent protocol instances, each object's quorum
 //! decisions go to its own shard, and reconfiguration migrates one shard
@@ -35,7 +42,7 @@ use crate::engine::Engine;
 use crate::event::Event;
 use crate::fault::FaultInjection;
 use crate::history::{History, HistoryEvent, HistoryKind};
-use crate::locks::LockManager;
+use crate::locks::{LockManager, LockMode};
 use crate::message::{ClientId, Endpoint, Message, ObjectId, OpId, Payload};
 use crate::metrics::SiteCounts;
 use crate::time::{SimDuration, SimTime};
@@ -420,22 +427,26 @@ impl Coordinator {
         self.start_read_round(engine, shards, client);
     }
 
-    /// Releases `op`'s lock — held or queued — on each of the first `count`
-    /// entries of `client`'s record, then resumes the transactions granted
-    /// a lock as a result.
+    /// Releases `op`'s lock — held or queued — on each entry of `client`'s
+    /// record locked in `mode` (every entry if `None`), then resumes the
+    /// transactions granted a lock as a result.
     fn release_locks(
         &mut self,
         engine: &mut Engine,
         shards: &mut ShardMap,
         client: ClientId,
         op: OpId,
-        count: usize,
+        mode: Option<LockMode>,
     ) {
         // Scratch taken for the call: resuming a granted transaction can
         // end it and release its locks in turn.
         let mut granted = std::mem::take(&mut self.granted);
         if let Some(s) = &self.clients[client.0 as usize].txn {
-            for e in &s.objects[..count] {
+            for e in s
+                .objects
+                .iter()
+                .filter(|e| mode.is_none_or(|m| e.mode == m))
+            {
                 self.locks.release_into(op, e.obj, &mut granted);
             }
         }
@@ -514,9 +525,9 @@ impl Coordinator {
         Self::arm_timeout(&self.config, engine, &c.rtt, op, s);
     }
 
-    /// The read phase finished: repair its stale responders, then stamp the
-    /// writes and enter the prepare phase, or complete a read-only
-    /// transaction.
+    /// The read phase finished: repair its stale responders and check its
+    /// reads, then stamp the writes, enter the prepare phase and release
+    /// the shared locks, or complete a read-only transaction.
     fn finish_read_round(&mut self, engine: &mut Engine, shards: &mut ShardMap, client: ClientId) {
         let c = &mut self.clients[client.0 as usize];
         let (Some(op), Some(s)) = (c.op, c.txn.as_deref_mut()) else {
@@ -547,6 +558,16 @@ impl Coordinator {
                 }
             }
         }
+        // Each read is checked now, while its shared lock still holds
+        // writers off, whether or not the transaction commits later. A
+        // migration takes no locks, so its reads go unchecked.
+        if !s.is_migration {
+            let unwritten = (Timestamp::ZERO, Bytes::new());
+            for e in s.in_request_order().filter(|e| !e.is_write()) {
+                let (ts, value) = e.best.as_ref().unwrap_or(&unwritten);
+                self.checker.check_read(op, e.obj, value, *ts);
+            }
+        }
         if s.objects.iter().any(TxnObject::is_write) {
             // Each write goes one version past the greatest one its read
             // found. Mutation hook: SkipVersionBump reuses that timestamp
@@ -558,6 +579,13 @@ impl Coordinator {
                 e.write_ts = if skip_bump { base } else { base.next(sid) };
             }
             self.start_prepare_phase(engine, shards, client);
+            // Every lock was taken before the first read, so the shared
+            // ones can go now; the exclusive ones stay until the last
+            // commit ack. A prepare that found no quorum already failed
+            // the transaction and released them all.
+            if self.clients[client.0 as usize].op == Some(op) {
+                self.release_locks(engine, shards, client, op, Some(LockMode::Read));
+            }
         } else {
             self.complete_op(engine, shards, client);
         }
@@ -645,17 +673,14 @@ impl Coordinator {
 
     /// Crossing the commit point: send `Commit` to every participant.
     fn start_commit_phase(&mut self, engine: &mut Engine, shards: &mut ShardMap, client: ClientId) {
-        let c = &self.clients[client.0 as usize];
-        let (Some(op), Some(s)) = (c.op, &c.txn) else {
+        let Some(op) = self.clients[client.0 as usize].op else {
             return;
         };
-        // Mutation hook: EarlyLockRelease frees every lock at the commit
-        // *point* instead of after the acknowledgements, admitting readers
-        // while the commits are still in flight.
+        // Mutation hook: EarlyLockRelease frees the exclusive locks at the
+        // commit *point* instead of after the acknowledgements, admitting
+        // readers while the commits are still in flight.
         if matches!(self.config.fault, Some(FaultInjection::EarlyLockRelease)) {
-            // Every lock is held by now, except by a migration, which takes none.
-            let held = s.locks_held;
-            self.release_locks(engine, shards, client, op, held);
+            self.release_locks(engine, shards, client, op, Some(LockMode::Write));
         }
         let c = &mut self.clients[client.0 as usize];
         let Some(s) = c.txn.as_deref_mut() else {
@@ -710,7 +735,8 @@ impl Coordinator {
     }
 
     /// Completes a transaction successfully: reads then writes, in request
-    /// order, go to the checker, the metrics and the history.
+    /// order, go to the metrics and the history, and the writes to the
+    /// checker (the reads went there when the read round ended).
     fn complete_op(&mut self, engine: &mut Engine, shards: &mut ShardMap, client: ClientId) {
         let c = &mut self.clients[client.0 as usize];
         let (Some(op), Some(state)) = (c.op.take(), c.txn.as_deref()) else {
@@ -721,7 +747,6 @@ impl Coordinator {
             return;
         }
         engine.metrics.record_latency(state.phase_times(engine.now));
-        let unwritten = (Timestamp::ZERO, Bytes::new());
         for e in state.in_request_order() {
             let (kind, ts) = if e.is_write() {
                 self.checker
@@ -731,11 +756,12 @@ impl Coordinator {
                 Self::count_hits(&mut engine.metrics.version_quorum_hits, &e.read_quorum);
                 (HistoryKind::Write, e.write_ts)
             } else {
-                let (ts, value) = e.best.as_ref().unwrap_or(&unwritten);
-                self.checker.check_read(op, e.obj, value, *ts);
                 engine.metrics.reads_ok += 1;
                 Self::count_hits(&mut engine.metrics.read_quorum_hits, &e.read_quorum);
-                (HistoryKind::Read, *ts)
+                (
+                    HistoryKind::Read,
+                    e.best.as_ref().map_or(Timestamp::ZERO, |b| b.0),
+                )
             };
             if self.config.record_history {
                 self.history.record(HistoryEvent {
@@ -889,7 +915,7 @@ impl Coordinator {
     }
 
     /// After `client`'s transaction `op` left flight: releases every lock
-    /// it held or queued for (unless `release_locks` is off — the
+    /// it still held or queued for (unless `release_locks` is off — the
     /// `KeepLocksOnAbort` mutation), resumes granted waiters, and schedules
     /// the client's next tick a jittered think time away. The record stays
     /// in the client's slot for its next transaction.
@@ -902,9 +928,9 @@ impl Coordinator {
         release_locks: bool,
     ) {
         if release_locks {
-            let c = &self.clients[client.0 as usize];
-            let count = c.txn.as_ref().map_or(0, |s| s.objects.len());
-            self.release_locks(engine, shards, client, op, count);
+            let txn = self.clients[client.0 as usize].txn.as_deref();
+            let left = txn.and_then(TxnState::locks_left);
+            self.release_locks(engine, shards, client, op, left);
         }
         let jitter: f64 = engine.rng.gen();
         let think = self.config.think_time.as_micros();
@@ -1111,8 +1137,8 @@ impl Coordinator {
     /// value. Every transaction still gathering commit acks expects one
     /// from it again for each written object whose write quorum holds it;
     /// the re-sent `Commit` carries the decided value and lands once the
-    /// site serves, and until then the transaction keeps its locks, so no
-    /// reader meets the gap. Counting the old ack would let the write
+    /// site serves, and until then the transaction keeps its exclusive
+    /// locks, so no reader meets the gap. Counting the old ack would let the write
     /// complete while the rejoin's sources held only its stage, leaving a
     /// serving member of its write quorum without it. Mutation hook:
     /// `ForgetWipedAcks` skips this.

@@ -33,9 +33,10 @@ pub enum FaultInjection {
     /// the locks forever and later transactions on the same objects wedge
     /// in `LockWait` (caught as stuck operations at quiescence).
     KeepLocksOnAbort,
-    /// Release all locks at the commit *point* instead of after the commit
-    /// acknowledgements: a reader admitted during the window can observe
-    /// the pre-commit version after the writer already reported success.
+    /// Release the exclusive locks at the commit *point* instead of after
+    /// the commit acknowledgements (the shared ones went when the read
+    /// round ended): a reader admitted during the window can observe the
+    /// pre-commit version after the writer already reported success.
     EarlyLockRelease,
     /// Keep counting a commit acknowledgement from a site that has since
     /// lost its storage and recovered into `Syncing`: the write can

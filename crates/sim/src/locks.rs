@@ -6,6 +6,13 @@
 //! owned by the single-threaded coordinator. Deadlock freedom comes from
 //! the coordinator acquiring a transaction's object locks in ascending
 //! object order (a total order), so no wait-for cycle can form.
+//!
+//! The coordinator takes all of a transaction's locks before its read
+//! round starts, releases the shared ones when the read round ends and
+//! the exclusive ones after the last commit ack (or on abort). No lock is
+//! taken after one is released, so this is two-phase and serializable;
+//! strict, because every exclusive lock is held until the transaction
+//! ends.
 
 use crate::message::{ObjectId, OpId};
 use arbitree_core::DetMap;

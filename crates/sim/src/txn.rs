@@ -68,7 +68,9 @@ pub(crate) struct TxnState {
     /// Request order: `order[pos]` is the index in `objects` of the entry
     /// at request position `pos`. Derived from the entries' `pos`.
     pub(crate) order: Vec<usize>,
-    /// How many of the entries' locks are held (a migration takes none).
+    /// How many of the entries' locks were granted, in lock-plan order (a
+    /// migration takes none). The shared ones among them are released
+    /// when the read round ends ([`TxnState::locks_left`]).
     pub(crate) locks_held: usize,
     /// Outstanding `(object, site)` acknowledgements of the current phase:
     /// read responses, prepare votes or commit acks.
@@ -221,6 +223,17 @@ impl TxnState {
         };
         *slot = *slot + (now - self.phase_since);
         times
+    }
+
+    /// The mode of the locks the transaction still holds or waits for:
+    /// every entry's (`None`) until its read round ends, then only the
+    /// written entries' exclusive ones, the shared ones having been
+    /// released when the read round ended.
+    pub(crate) fn locks_left(&self) -> Option<LockMode> {
+        match self.phase {
+            Phase::LockWait | Phase::ReadGather => None,
+            Phase::PrepareGather | Phase::CommitGather => Some(LockMode::Write),
+        }
     }
 
     /// The entry of `obj`, if the transaction touches it.

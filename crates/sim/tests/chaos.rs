@@ -628,9 +628,15 @@ fn repair_smoke_table_is_pinned_across_engine_swaps() {
 /// attempt at a phase began timing out after its client's measured round
 /// trip instead of `op_timeout`, and a read retry stopped asking members
 /// that already answered: the cells' lost messages and crashed members
-/// are detected sooner, so every later event moves.
+/// are detected sooner, so every later event moves. The throughput pin was
+/// re-taken once more when a transaction began releasing its shared locks
+/// when its read round ends instead of after its last commit ack: in its
+/// multi-object cells a writer queued behind a reader is granted its lock
+/// a prepare and a commit round earlier, so every later event moves. The
+/// chaos cells run single-object transactions, which never hold a shared
+/// lock beside an exclusive one, so their pin stays.
 const PINNED_CHAOS_CAMPAIGN: u64 = 7784984630653998499;
-const PINNED_THROUGHPUT_SMOKE: u64 = 9929213787621801240;
+const PINNED_THROUGHPUT_SMOKE: u64 = 6783014923214119916;
 const PINNED_REPAIR_SMOKE: u64 = 8898867257685442620;
 
 /// Every coordinator branch under one hash: batching {off, on} ×
@@ -745,8 +751,11 @@ fn coordinator_branches_are_pinned() {
 /// after the client's measured round trip (the faulty cells detect losses
 /// sooner), a read retry stopped asking members that already answered,
 /// and the metrics began splitting latency by phase (`phase_time` is part
-/// of the dump).
-const PINNED_COORDINATOR_BRANCHES: u64 = 3086223232058020134;
+/// of the dump). Re-taken once more when a transaction began releasing its
+/// shared locks when its read round ends, and checking its reads then:
+/// in the four-object cells writers queued behind readers are granted
+/// their locks earlier, so every later event moves.
+const PINNED_COORDINATOR_BRANCHES: u64 = 17940259640666866812;
 
 /// Amnesia cold start layered over uncorrelated churn (the chaos-campaign
 /// composition): still consistent, still no service from Syncing sites.

@@ -215,6 +215,45 @@ fn zipfian_workloads_stay_consistent() {
     }
 }
 
+/// Transactions of up to three objects, each read or written, over a few
+/// Zipfian objects under loss and crash churn: a reader's shared lock goes
+/// when its read round ends while its writes are still in 2PC, and both
+/// checkers must still find nothing.
+#[test]
+fn multi_object_histories_under_churn_are_linearizable() {
+    use arbitree_sim::ObjectDistribution;
+    use std::collections::BTreeMap;
+    let mut mixed = 0;
+    for seed in 0..8u64 {
+        let proto = ArbitraryProtocol::parse("1-3-5").unwrap();
+        let mut config = churn_config(seed, 0.03);
+        config.objects = 5;
+        config.max_txn_ops = 3;
+        config.read_fraction = 0.5;
+        config.object_distribution = ObjectDistribution::Zipfian { exponent: 1.0 };
+        config.record_history = true;
+        let report = run_simulation(config, proto, &churn_schedule(8, seed + 300));
+        assert!(
+            report.consistent,
+            "seed {seed}: {} violations",
+            report.violations
+        );
+        let violations = report.history.check_linearizable();
+        assert!(violations.is_empty(), "seed {seed}: {violations:?}");
+        // Count the committed transactions that both read and wrote.
+        let mut kinds: BTreeMap<_, (bool, bool)> = BTreeMap::new();
+        for e in report.history.events() {
+            let k = kinds.entry(e.op).or_default();
+            match e.kind {
+                arbitree_sim::HistoryKind::Read => k.0 = true,
+                arbitree_sim::HistoryKind::Write => k.1 = true,
+            }
+        }
+        mixed += kinds.values().filter(|&&(r, w)| r && w).count();
+    }
+    assert!(mixed > 50, "{mixed} committed read-write transactions");
+}
+
 #[test]
 fn hot_object_contention_serializes_correctly() {
     // One extremely hot object: all clients pile onto it, the lock manager
