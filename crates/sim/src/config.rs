@@ -29,9 +29,10 @@ impl Default for NetworkConfig {
 /// The timeout armed for a phase *is* the retry interval: when it fires the
 /// phase restarts (or, past the commit point, re-sends). The policy maps
 /// a base timeout and an attempt number to a delay ([`RetryPolicy::delay`]).
-/// Attempt 0 — a transaction that has not retried — takes as its base its
-/// client's measured round-trip timeout, which never exceeds
-/// [`SimConfig::op_timeout`]; attempt `k ≥ 1` takes `op_timeout` itself.
+/// A phase's first attempt, whatever earlier phases of the transaction
+/// did, takes as attempt 0 its client's measured round-trip timeout,
+/// which never exceeds [`SimConfig::op_timeout`]; a retry within the
+/// phase, the transaction's `k`-th, takes attempt `k` of `op_timeout`.
 /// So `op_timeout` is the first value of the configured schedule and the
 /// ceiling of the measured one. Under a partition or drop burst a
 /// fixed interval produces a retry storm — every blocked coordinator
@@ -45,7 +46,8 @@ pub enum RetryPolicy {
     Fixed,
     /// Attempt `k` arms `min(base · 2^k, cap)`, stretched by a
     /// deterministic seeded jitter uniform in `[0, jitter·delay]`; `base`
-    /// is the measured timeout at attempt 0 and `op_timeout` after.
+    /// is the measured timeout at a phase's first attempt and
+    /// `op_timeout` at a retry.
     Exponential {
         /// Upper bound on the backed-off delay (`cap ≥ op_timeout`).
         cap: SimDuration,

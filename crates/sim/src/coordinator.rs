@@ -151,9 +151,10 @@ impl Coordinator {
         for c in &self.clients {
             h.debug(&(c.sid, &c.suspected, c.op));
             // An idle client's record is leftovers; of an in-flight one,
-            // every field except `started` and the phase stamps, which feed
-            // only the latency metrics, history stamps and timer times
-            // (like the client's `rtt`, left out too).
+            // every field except `started`, the phase stamps and the
+            // phase's retry count, which feed only the latency metrics,
+            // history stamps and timer times (like the client's `rtt`,
+            // left out too).
             if let (Some(_), Some(s)) = (c.op, &c.txn) {
                 h.debug(&s.client);
                 h.debug(&s.phase);
@@ -291,11 +292,12 @@ impl Coordinator {
         alive
     }
 
-    /// Arms the phase timeout. A transaction's first attempt at a phase
-    /// waits the client's measured round-trip timeout (RFC 6298's, see
-    /// [`RttEstimator`]), at least the worst fault-free round trip
-    /// `2·max_latency + 1 µs` and at most `op_timeout`; once it retried,
-    /// attempt `k` waits `retry.delay(op_timeout, k, u)` as configured.
+    /// Arms the phase timeout. A phase's first attempt waits the client's
+    /// measured round-trip timeout (RFC 6298's, see [`RttEstimator`]), at
+    /// least the worst fault-free round trip `2·max_latency + 1 µs` and at
+    /// most `op_timeout`, with no backoff, whatever earlier phases of the
+    /// transaction did; a retry within the phase, the transaction's `k`-th,
+    /// waits `retry.delay(op_timeout, k, u)` as configured.
     /// Either way the delay takes a deterministic jitter draw `u` from the
     /// run's RNG under a jittered [`RetryPolicy`].
     ///
@@ -313,13 +315,14 @@ impl Coordinator {
             0.0
         };
         state.phase_counter += 1;
-        let base = if state.attempts == 0 {
+        let delay = if state.phase_retries == 0 {
             let floor = config.network.max_latency.saturating_mul(2) + SimDuration::from_micros(1);
-            rtt.timeout(floor, config.op_timeout)
+            config
+                .retry
+                .delay(rtt.timeout(floor, config.op_timeout), 0, u)
         } else {
-            config.op_timeout
+            config.retry.delay(config.op_timeout, state.attempts, u)
         };
-        let delay = config.retry.delay(base, state.attempts, u);
         engine.arm_timeout(state.client, op, state.phase_counter, delay);
     }
 
@@ -1008,8 +1011,7 @@ impl Coordinator {
                     // version past it and retry so the object cannot
                     // livelock.
                     e.write_ts = Timestamp::new(ts.version() + 1, ts.sid());
-                    state.attempts += 1;
-                    if state.attempts >= self.config.max_attempts {
+                    if state.count_retry() >= self.config.max_attempts {
                         self.fail_op(engine, shards, client, AbortCause::Conflict);
                     } else {
                         engine.metrics.retries_prepare += 1;
@@ -1064,8 +1066,7 @@ impl Coordinator {
         match state.phase {
             Phase::LockWait => {}
             Phase::ReadGather => {
-                state.attempts += 1;
-                if state.attempts >= self.config.max_attempts {
+                if state.count_retry() >= self.config.max_attempts {
                     self.fail_op(engine, shards, client, AbortCause::Exhausted);
                 } else {
                     engine.metrics.retries_read += 1;
@@ -1073,8 +1074,7 @@ impl Coordinator {
                 }
             }
             Phase::PrepareGather => {
-                state.attempts += 1;
-                if state.attempts >= self.config.max_attempts {
+                if state.count_retry() >= self.config.max_attempts {
                     self.fail_op(engine, shards, client, AbortCause::Exhausted);
                     return;
                 }
@@ -1110,7 +1110,7 @@ impl Coordinator {
                 // Past the commit point: 2PC phase 2 never gives up. The
                 // attempt counter keeps climbing so the backoff policy
                 // stretches the re-send interval, but it never aborts.
-                state.attempts = state.attempts.saturating_add(1);
+                state.count_retry();
                 engine.metrics.retries_commit += 1;
                 // Re-send carries the decided value and timestamp: the
                 // participant may have lost its stage to an amnesia crash

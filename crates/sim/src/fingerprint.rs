@@ -22,11 +22,11 @@
 //! What stays out: event scheduling times and message `sent_at` stamps
 //! (under a controlled scheduler, time is a label — only the order chosen
 //! by the scheduler matters), each client's round-trip estimator and each
-//! in-flight transaction's phase stamps (they set only when its timeouts
-//! are due, a time), sequence numbers (two interleavings that reach the
-//! same state label their pending events differently), and the
-//! observational channels (metrics, history, per-op and per-rejoin
-//! `started` stamps) that never feed back into a decision.
+//! in-flight transaction's phase stamps and per-phase retry count (they
+//! set only when its timeouts are due, a time), sequence numbers (two
+//! interleavings that reach the same state label their pending events
+//! differently), and the observational channels (metrics, history, per-op
+//! and per-rejoin `started` stamps) that never feed back into a decision.
 //!
 //! Three variants share one accumulation pass:
 //!

@@ -10,12 +10,15 @@
 //! can locate a diff in O(diff · log n) range-hash comparisons instead of
 //! scanning (or shipping) the full store, and ship a sparse or
 //! requester-empty range whole ([`Storage::fill`]). Only a rejoining site or a sync
-//! source ever reads the tree, so it is maintained lazily: installs append
-//! their key to a log, and the log is applied on the next digest
-//! read ([`Storage::htree`], which takes `&mut self` so no reader can see a
-//! stale tree) or once it outgrows twice the committed map. The root
-//! aggregate — the one part of the tree that `Debug` (and so the model
-//! checker's fingerprint) shows — is kept eagerly.
+//! source ever reads the tree, so it is built lazily: a store that was never
+//! read keeps no tree and logs nothing, and the first read ([`Storage::htree`]
+//! or [`Storage::fill`], both `&mut self` so no reader can see a stale tree)
+//! builds it from the committed map in key order. From then on installs
+//! append their key to a log, applied on the next read or once it outgrows
+//! twice the committed map. A wipe drops the tree with the data, so the
+//! next read builds it again. The root aggregate — the one part of the
+//! tree that `Debug` (and so the model checker's fingerprint) shows — is
+//! kept eagerly.
 
 use crate::message::{ObjectId, OpId};
 use arbitree_core::{DetMap, Timestamp};
@@ -71,12 +74,13 @@ pub struct Storage {
     staged: DetMap<ObjectId, Staged>,
     /// Range-hash tree over `committed` as of the last log flush (staged
     /// writes are invisible to it: only durable, committed state takes
-    /// part in anti-entropy).
+    /// part in anti-entropy). Empty until the first read builds it.
     htree: HTree,
-    /// The key of every install since the last flush. The tree is a
-    /// function of the committed map, so a flush reads each key's item
-    /// hash from there.
-    log: Vec<u32>,
+    /// The key of every install since the last flush; `None` until the
+    /// first read builds the tree, so installs before it log nothing. The
+    /// tree is a function of the committed map, so a flush reads each
+    /// key's item hash from there.
+    log: Option<Vec<u32>>,
     /// The tree's root aggregate over the *current* committed map.
     root: NodeAgg,
 }
@@ -135,13 +139,17 @@ impl Storage {
         items
     }
 
-    /// Applies the install log to the tree. The tree is a function of the
-    /// committed map, so each logged key is applied once, with the item
-    /// hash of its committed version now.
+    /// Brings the tree up to date: the first call builds it from every
+    /// committed key, later ones apply the install log. The tree is a
+    /// function of the committed map, so each key is applied once, in key
+    /// order, with the item hash of its committed version now.
     fn flush(&mut self) {
-        self.log.sort_unstable();
-        self.log.dedup();
-        for &key in &self.log {
+        let log = self
+            .log
+            .get_or_insert_with(|| self.committed.keys().map(|obj| obj.0).collect());
+        log.sort_unstable();
+        log.dedup();
+        for &key in log.iter() {
             let obj = ObjectId(key);
             // Every logged key is committed: only a wipe removes a key, and
             // it empties the log as well.
@@ -149,15 +157,16 @@ impl Storage {
                 self.htree.insert(key, version.item_hash(obj));
             }
         }
-        self.log.clear();
+        log.clear();
         debug_assert_eq!(self.htree.digest(Range::ROOT), self.root);
     }
 
     /// Installs `value` at `ts` when it is newer than the committed version
     /// of `obj` (the zero version if never written), in one committed-map
-    /// probe; updates the root aggregate and logs the key for the range
-    /// tree. Returns whether it installed. Every committed-map write
-    /// funnels through here so the tree can never drift from the store.
+    /// probe; updates the root aggregate and, once the range tree is
+    /// built, logs the key for it. Returns whether it installed. Every
+    /// committed-map write funnels through here so the tree can never drift
+    /// from the store.
     fn install(&mut self, obj: ObjectId, value: Bytes, ts: Timestamp) -> bool {
         // Nothing is older than a never-written key's zero version.
         if ts <= Timestamp::ZERO {
@@ -179,11 +188,13 @@ impl Storage {
             self.root.hash ^= current.item_hash(obj);
         }
         *current = version;
-        self.log.push(obj.0);
-        // Bounds the log at O(store); flushing by key does at most the work
-        // an eager tree would have done for the same installs.
-        if self.log.len() > 2 * self.committed.len() {
-            self.flush();
+        if let Some(log) = &mut self.log {
+            log.push(obj.0);
+            // Bounds the log at O(store); flushing by key does at most the
+            // work an eager tree would have done for the same installs.
+            if log.len() > 2 * self.committed.len() {
+                self.flush();
+            }
         }
         true
     }
@@ -441,29 +452,60 @@ mod tests {
         t
     }
 
+    /// Everything `s` has committed, in key order, as a fill ships it.
+    fn all_items(s: &Storage) -> Vec<(ObjectId, Bytes, Timestamp)> {
+        let committed = s.committed_sorted().into_iter();
+        committed
+            .map(|(obj, v)| (obj, v.value.clone(), v.ts))
+            .collect()
+    }
+
     #[test]
-    fn install_log_stays_bounded_by_the_store() {
+    fn the_tree_is_built_on_first_read_and_its_log_stays_bounded() {
         let mut s = Storage::new();
         for v in 1..=100 {
-            assert!(s.repair(ObjectId(7), Bytes::from_static(b"v"), ts(v)));
-            assert!(s.log.len() <= 2 * s.committed.len());
+            let obj = ObjectId(7 + (v % 3) as u32);
+            assert!(s.repair(obj, Bytes::from_static(b"v"), ts(v)));
+            // Never read: no tree and no log.
+            assert!(s.log.is_none() && s.htree.is_empty());
         }
-        let before = format!("{s:?}");
+        let (before, eager) = (format!("{s:?}"), eager_tree(&s));
+        assert_eq!(s.htree(), &eager);
+        // Building is invisible to Debug (and so to fingerprints).
+        assert_eq!(format!("{s:?}"), before);
+        for v in 101..=200 {
+            assert!(s.repair(ObjectId(7), Bytes::from_static(b"w"), ts(v)));
+            assert!(s
+                .log
+                .as_ref()
+                .is_some_and(|log| log.len() <= 2 * s.committed.len()));
+        }
+        let (before, eager, items) = (format!("{s:?}"), eager_tree(&s), all_items(&s));
+        assert_eq!(s.fill(Range::ROOT), items);
+        assert_eq!(s.log, Some(Vec::new()));
+        assert_eq!(s.htree(), &eager);
+        assert_eq!(format!("{s:?}"), before);
+        // A wipe drops the tree; the store logs nothing until read again.
+        s.wipe();
+        assert!(s.repair(ObjectId(9), Bytes::from_static(b"x"), ts(1)));
+        assert!(s.log.is_none() && s.htree.is_empty());
         let eager = eager_tree(&s);
         assert_eq!(s.htree(), &eager);
-        assert!(s.log.is_empty());
-        // Flushing is invisible to Debug (and so to fingerprints).
-        assert_eq!(format!("{s:?}"), before);
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(128))]
 
+        /// A store that was never read (or not since its wipe) keeps no
+        /// tree and no log; once read, its log stays within twice the
+        /// store; and every read sees exactly the tree and the items a
+        /// build from scratch gives.
         #[test]
         fn lazy_digests_match_an_eager_tree(
             steps in proptest::collection::vec((0u8..12, 0u32..24, 1u64..6, 0u8..3), 1..200)
         ) {
             let mut s = Storage::new();
+            let mut read = false;
             for (i, &(op, k, version, byte)) in steps.iter().enumerate() {
                 // Spread keys across top-level prefixes and share leaves.
                 let obj = ObjectId(k.wrapping_mul(0x0F0F_1235) >> (k % 3));
@@ -480,11 +522,22 @@ mod tests {
                     5..=7 => {
                         s.repair(obj, value, stamp);
                     }
-                    8 if k == 0 => s.wipe(),
+                    8 if k == 0 => {
+                        s.wipe();
+                        read = false;
+                    }
+                    8 => {
+                        let range = Range::of(obj.0, (k % 4) as u8);
+                        let mut want = all_items(&s);
+                        want.retain(|(o, _, _)| range.contains(o.0));
+                        proptest::prop_assert_eq!(s.fill(range), want);
+                        read = true;
+                    }
                     _ => {
                         let debug = format!("{s:?}");
                         let eager = eager_tree(&s);
                         let lazy = s.htree().clone();
+                        read = true;
                         proptest::prop_assert_eq!(format!("{s:?}"), debug);
                         // Whole-tree equality compares every node of every
                         // level; the probes below also cover empty ranges.
@@ -498,7 +551,13 @@ mod tests {
                         }
                     }
                 }
-                proptest::prop_assert!(s.log.len() <= 2 * s.committed.len());
+                match &s.log {
+                    Some(log) => {
+                        proptest::prop_assert!(read);
+                        proptest::prop_assert!(log.len() <= 2 * s.committed.len());
+                    }
+                    None => proptest::prop_assert!(!read && s.htree.is_empty()),
+                }
             }
             let eager = eager_tree(&s);
             let lazy = s.htree();

@@ -60,8 +60,15 @@ pub(crate) struct TxnState {
     pub(crate) phase_time: PhaseTimes,
     /// Bumped on every phase (re)start; stale timeouts carry the old value.
     pub(crate) phase_counter: u64,
-    /// Quorum re-pick attempts consumed.
+    /// Retries consumed by the whole transaction, every phase's counted:
+    /// the abort budget ([`crate::SimConfig::max_attempts`]) and the
+    /// backoff exponent of a retry's timer.
     pub(crate) attempts: u32,
+    /// Retries of the current phase alone, zeroed when the transaction
+    /// enters another phase. While it is 0 the phase is on its first
+    /// attempt, whose timer is the client's measured round-trip timeout and
+    /// whose round trip is sampled (Karn's rule, per phase).
+    pub(crate) phase_retries: u32,
     /// One entry per object, ascending by object: the lock plan and the
     /// read order.
     pub(crate) objects: Vec<TxnObject>,
@@ -142,6 +149,7 @@ impl TxnState {
             phase_time: PhaseTimes::default(),
             phase_counter: 0,
             attempts: 0,
+            phase_retries: 0,
             objects: Vec::new(),
             order: Vec::new(),
             locks_held: 0,
@@ -204,11 +212,22 @@ impl TxnState {
 
     /// Moves the transaction into `phase` at `now`, charging the time since
     /// the last move to the phase it leaves (a retry that stays in its
-    /// phase charges it too).
+    /// phase charges it too, and keeps its retry count).
     pub(crate) fn enter(&mut self, phase: Phase, now: SimTime) {
         self.phase_time = self.phase_times(now);
+        if self.phase != phase {
+            self.phase_retries = 0;
+        }
         self.phase = phase;
         self.phase_since = now;
+    }
+
+    /// Counts one retry of the current phase, by timeout or vote-abort,
+    /// and returns the transaction's retries so far.
+    pub(crate) fn count_retry(&mut self) -> u32 {
+        self.attempts = self.attempts.saturating_add(1);
+        self.phase_retries = self.phase_retries.saturating_add(1);
+        self.attempts
     }
 
     /// The time spent in each phase up to `now`, the current one included.
@@ -396,8 +415,9 @@ impl fmt::Debug for Reconfig {
 /// `SRTT` and its mean deviation `RTTVAR`, in integer microseconds.
 ///
 /// A sample is the time from sending a phase's requests to the ack that
-/// completes it, taken only while the transaction never retried (Karn's
-/// rule: after a re-send, an ack does not tell which send it answers).
+/// completes it, taken only if that phase never retried (Karn's rule,
+/// applied per phase: after a re-send, an ack does not tell which send it
+/// answers, but a later phase's fresh requests are unambiguous again).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct RttEstimator {
     /// `(SRTT, RTTVAR)` in µs; `None` until the first sample.
@@ -417,9 +437,10 @@ impl RttEstimator {
     }
 
     /// Samples `txn`'s current phase, completed at `now`: its round trip
-    /// from the requests' send, unless the transaction retried.
+    /// from the requests' send, unless the phase retried (whatever earlier
+    /// phases of the transaction did).
     pub(crate) fn sample_phase(&mut self, txn: &TxnState, now: SimTime) {
-        if txn.attempts == 0 {
+        if txn.phase_retries == 0 {
             self.sample(now - txn.phase_since);
         }
     }
@@ -444,8 +465,8 @@ pub(crate) struct ClientState {
     /// SID used in this client's write timestamps (distinct from replicas).
     pub(crate) sid: SiteId,
     pub(crate) suspected: DetSet<SiteId>,
-    /// The client's phase round-trip estimate, which times its
-    /// transactions' first attempts. It sets only event times, so the
+    /// The client's phase round-trip estimate, which times the first
+    /// attempt of each of its transactions' phases. It sets only event times, so the
     /// state fingerprint leaves it out.
     pub(crate) rtt: RttEstimator,
     /// The id of the transaction in flight; `None` while the client idles.
@@ -710,6 +731,7 @@ mod tests {
             fill(&mut reused, &earlier);
             reused.phase = Phase::CommitGather;
             reused.attempts = 3;
+            reused.phase_retries = 2;
             reused.pending.add_quorum(ObjectId(1), &QuorumSet::from_indices([1, 2]));
             reused.responses.push((ObjectId(1), SiteId::new(1), Timestamp::ZERO));
             reused.reuse(ClientId(1), SimTime::ZERO, false);

@@ -634,8 +634,15 @@ fn repair_smoke_table_is_pinned_across_engine_swaps() {
 /// multi-object cells a writer queued behind a reader is granted its lock
 /// a prepare and a commit round earlier, so every later event moves. The
 /// chaos cells run single-object transactions, which never hold a shared
-/// lock beside an exclusive one, so their pin stays.
-const PINNED_CHAOS_CAMPAIGN: u64 = 7784984630653998499;
+/// lock beside an exclusive one, so their pin stays. The chaos pin was
+/// re-taken once more when the first attempt of every phase, not only of
+/// a transaction's first phase, began timing out after the measured round
+/// trip, and a clean phase after a retried one began feeding the
+/// estimator: in the cells where a read or prepare retried, the later
+/// phases' lost messages and crashed members are detected sooner, so every
+/// later event moves. Building each site's range tree on its first read
+/// moved no pin.
+const PINNED_CHAOS_CAMPAIGN: u64 = 13320528451219615982;
 const PINNED_THROUGHPUT_SMOKE: u64 = 6783014923214119916;
 const PINNED_REPAIR_SMOKE: u64 = 8898867257685442620;
 
@@ -754,8 +761,12 @@ fn coordinator_branches_are_pinned() {
 /// of the dump). Re-taken once more when a transaction began releasing its
 /// shared locks when its read round ends, and checking its reads then:
 /// in the four-object cells writers queued behind readers are granted
-/// their locks earlier, so every later event moves.
-const PINNED_COORDINATOR_BRANCHES: u64 = 17940259640666866812;
+/// their locks earlier, so every later event moves. Re-taken once more
+/// when every phase's first attempt, whatever earlier phases did, began
+/// timing out after the measured round trip instead of a backed-off
+/// `op_timeout`: the faulty cells' phases that follow a retry detect a
+/// loss or a crash sooner, so every later event moves.
+const PINNED_COORDINATOR_BRANCHES: u64 = 15840660978249377250;
 
 /// Amnesia cold start layered over uncorrelated churn (the chaos-campaign
 /// composition): still consistent, still no service from Syncing sites.
