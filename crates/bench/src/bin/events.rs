@@ -25,7 +25,7 @@
 //!   number. Events are counted by a wrapping scheduler, so the figure is
 //!   exact, not estimated. The tier also prices
 //!   the model checker's per-state work on one mid-run `1-3-5` state:
-//!   ns per call of each fingerprint width, and the wall time of a
+//!   ns per call of the state fingerprint, and the wall time of a
 //!   `ReplayScheduler` run over the seeded run whose schedule it replays.
 //!
 //! Usage: `events [--smoke] [--steps <n>] [--out <path>]` (defaults:
@@ -216,8 +216,8 @@ impl Scheduler for Capped {
 
 /// The model checker's per-state costs on one mid-run state.
 struct AuditCost {
-    /// `(function, median ns per call)` for each fingerprint width.
-    fingerprint_ns: [(&'static str, f64); 3],
+    /// Median ns per call of `Simulation::fingerprint`.
+    fingerprint_ns: f64,
     /// Per-pair `replay / seeded` wall-time ratios, sorted.
     replay_ratios: Vec<f64>,
 }
@@ -238,7 +238,7 @@ fn audit_sim() -> Simulation {
 }
 
 /// Median ns per call of `f` over `samples` timed batches of `calls`.
-fn ns_per_call(samples: usize, calls: u32, f: impl Fn() -> u64) -> f64 {
+fn ns_per_call<T>(samples: usize, calls: u32, f: impl Fn() -> T) -> f64 {
     let mut ns: Vec<f64> = (0..samples)
         .map(|_| {
             // arbitree-lint: allow(D002) — wall-clock timing of the bench itself
@@ -253,7 +253,7 @@ fn ns_per_call(samples: usize, calls: u32, f: impl Fn() -> u64) -> f64 {
     median(&ns)
 }
 
-/// Times the three fingerprint widths on the state [`AUDIT_STEPS`] seeded
+/// Times the state fingerprint on the state [`AUDIT_STEPS`] seeded
 /// steps in, then `pairs` alternating batches of [`REPLAY_RUNS`] seeded
 /// and replayed runs of those steps (construction included: replay always
 /// pays it). Every replay must fire the whole schedule and reach the
@@ -274,20 +274,7 @@ fn audit_cost(samples: usize, calls: u32, pairs: usize) -> AuditCost {
         AUDIT_STEPS,
         "seeded run must supply every step"
     );
-    let fingerprint_ns = [
-        (
-            "fingerprint()",
-            ns_per_call(samples, calls, || sim.fingerprint()),
-        ),
-        (
-            "fingerprint_wide()",
-            ns_per_call(samples, calls, || sim.fingerprint_wide().0),
-        ),
-        (
-            "fingerprint_canonical()",
-            ns_per_call(samples, calls, || sim.fingerprint_canonical().0),
-        ),
-    ];
+    let fingerprint_ns = ns_per_call(samples, calls, || sim.fingerprint());
     let seeded_run = || seeded().0.fingerprint();
     let replay_run = || {
         let mut sim = audit_sim();
@@ -452,22 +439,24 @@ fn main() {
 
     let (samples, calls, replay_pairs) = if smoke { (3, 50, 3) } else { (9, 200, 9) };
     let audit = audit_cost(samples, calls, replay_pairs);
-    let mut rows: Vec<Vec<String>> = audit
-        .fingerprint_ns
-        .iter()
-        .map(|&(name, ns)| vec![name.to_string(), format!("{ns:.0} ns/call"), String::new()])
-        .collect();
-    rows.push(vec![
-        format!("replay / seeded ({AUDIT_STEPS} steps)"),
-        format!("{}x", fmt_f(median(&audit.replay_ratios))),
-        pair_range(&audit.replay_ratios),
-    ]);
+    let rows = vec![
+        vec![
+            "fingerprint()".to_string(),
+            format!("{:.0} ns/call", audit.fingerprint_ns),
+            String::new(),
+        ],
+        vec![
+            format!("replay / seeded ({AUDIT_STEPS} steps)"),
+            format!("{}x", fmt_f(median(&audit.replay_ratios))),
+            pair_range(&audit.replay_ratios),
+        ],
+    ];
     print!(
         "{}",
         render_table(&["audit cost", "median", "pair range"], &rows)
     );
     println!(
-        "(1-3-5 parked after {AUDIT_STEPS} seeded steps; fingerprints: median of {samples} \
+        "(1-3-5 parked after {AUDIT_STEPS} seeded steps; fingerprint: median of {samples} \
          batches of {calls} calls; replay: median of {replay_pairs} alternating pairs of \
          {REPLAY_RUNS}-run batches)"
     );
@@ -575,14 +564,12 @@ fn render_json(
             .field("consistent", c.consistent),
         );
     }
-    for &(name, ns) in &audit.fingerprint_ns {
-        report = report.row(
-            BenchRow::plain(format!("sim {name}"))
-                .field("tier", json_str("sim"))
-                .field("steps", AUDIT_STEPS)
-                .field("ns_per_call", format!("{ns:.0}")),
-        );
-    }
+    report = report.row(
+        BenchRow::plain("sim fingerprint()")
+            .field("tier", json_str("sim"))
+            .field("steps", AUDIT_STEPS)
+            .field("ns_per_call", format!("{:.0}", audit.fingerprint_ns)),
+    );
     let ratios = &audit.replay_ratios;
     report = report.row(
         BenchRow::plain("sim replay/seeded")

@@ -14,11 +14,10 @@
 //!    claims independent and replays `prefix + [a, b]` and
 //!    `prefix + [b, a]` from fresh simulations over the
 //!    [`arbitree_sim::ReplayScheduler`] seam. The two runs must reach
-//!    identical states — compared by
-//!    [`Simulation::fingerprint_canonical`], which hashes per-site storage
-//!    in sorted object order so that genuinely commuting pairs whose
-//!    execution permutes `DetMap` *insertion* order are not reported as
-//!    divergent. A scheduled key that vanishes before its turn ("a
+//!    identical states — compared by [`Simulation::fingerprint`], which
+//!    hashes per-site storage in sorted object order so that genuinely
+//!    commuting pairs whose execution permutes `DetMap` *insertion* order
+//!    are not reported as divergent. A scheduled key that vanishes before its turn ("a
 //!    disables b") is its own mismatch kind. Every mismatch carries a
 //!    replayable trace.
 //! 2. **Independence mutation harness** ([`RelationMutation`],
@@ -27,7 +26,7 @@
 //!    every one of them. A seeded unsoundness the oracle cannot kill
 //!    would mean the oracle is too weak to defend the real relation.
 //! 3. **Fingerprint collision audit** — the walk keys its visited set on
-//!    the 128-bit canonical fingerprint lane and records how many
+//!    the 128-bit fingerprint lane and records how many
 //!    distinct states share a 64-bit value ([`AuditStats::fp_collisions`]);
 //!    [`Budget::wide`](crate::Budget) runs the *explorer* itself in
 //!    128-bit mode so its state/schedule counts can be compared against
@@ -38,7 +37,7 @@
 //! the drained tiers, budget-sampled (with the budget recorded) on the
 //! bounded tier.
 
-use crate::explore::{classify, describe_event, independent, shape_hash, Class};
+use crate::explore::{classify, describe_event, independent, Class};
 use crate::scenario::Scenario;
 use arbitree_sim::{Endpoint, Event, EventKey, Payload, ReplayScheduler, Scheduler, Simulation};
 use std::collections::{HashMap, HashSet};
@@ -50,7 +49,7 @@ use std::collections::{HashMap, HashSet};
 pub struct AuditBudget {
     /// Maximum schedule length for the walk.
     pub max_depth: usize,
-    /// Maximum distinct (canonical) states visited.
+    /// Maximum distinct states visited.
     pub max_states: usize,
     /// Maximum schedules (re-executions) for the walk.
     pub max_schedules: u64,
@@ -107,7 +106,7 @@ impl AuditBudget {
 pub struct AuditStats {
     /// Walk schedules executed.
     pub schedules: u64,
-    /// Distinct canonical states visited.
+    /// Distinct states visited.
     pub states: u64,
     /// Walk runs cut at the depth budget.
     pub truncated: u64,
@@ -119,7 +118,7 @@ pub struct AuditStats {
     pub pairs_checked: u64,
     /// Deduplicated pairs skipped at the pair budget.
     pub pairs_skipped: u64,
-    /// Distinct 64-bit canonical fingerprints seen.
+    /// Distinct 64-bit fingerprints seen.
     pub fp64_distinct: u64,
     /// Distinct 128-bit states whose 64-bit fingerprint collided with an
     /// earlier distinct state (each such state would have been wrongly
@@ -135,7 +134,7 @@ pub struct PairMismatch {
     /// `state-divergence` (both orders ran, final states differ) or
     /// `disables` (one order lost the second event before its turn).
     pub kind: String,
-    /// What diverged, with both canonical fingerprints or the vanished
+    /// What diverged, with both fingerprints or the vanished
     /// key.
     pub detail: String,
     /// The events of the refuted pair, human-readable.
@@ -364,11 +363,11 @@ struct Walk {
     mutation: Option<RelationMutation>,
     /// Prefix arena; index 0 is the empty-prefix sentinel.
     arena: Vec<Node>,
-    /// Visited canonical 128-bit states.
+    /// Visited 128-bit states.
     visited: HashSet<u128>,
-    /// Collision audit: 64-bit canonical fingerprint → the distinct
+    /// Collision audit: 64-bit fingerprint → the distinct
     /// 128-bit states observed under it.
-    canon64: HashMap<u64, Vec<u128>>,
+    by64: HashMap<u64, Vec<u128>>,
     /// Pair dedup: (state, unordered shape-hash pair).
     checked: HashSet<(u128, u64, u64)>,
     /// Jobs collected at the frontier the current expansion opened.
@@ -428,18 +427,18 @@ impl Scheduler for ExpandScheduler<'_> {
             w.hit_state_budget = true;
             return None;
         }
-        let (c64, c128) = sim.fingerprint_canonical();
+        let (c64, c128) = sim.fingerprint();
         if !w.visited.insert(c128) {
             w.stats.pruned_visited += 1;
             return None;
         }
         w.stats.states = w.visited.len() as u64;
-        let under = w.canon64.entry(c64).or_default();
+        let under = w.by64.entry(c64).or_default();
         under.push(c128);
         if under.len() > 1 {
             w.stats.fp_collisions += 1;
         }
-        w.stats.fp64_distinct = w.canon64.len() as u64;
+        w.stats.fp64_distinct = w.by64.len() as u64;
         // Enumerate co-pending pairs the (possibly mutated) relation
         // claims independent, dedup by (state, shape pair), and queue them
         // for checking after this expansion releases the simulation.
@@ -456,7 +455,7 @@ impl Scheduler for ExpandScheduler<'_> {
             .collect();
         let shapes: Vec<u64> = enabled
             .iter()
-            .map(|k| shape_hash(queue.get(*k).expect("key just enumerated")))
+            .map(|k| queue.get(*k).expect("key just enumerated").shape_hash())
             .collect();
         for i in 0..enabled.len() {
             for j in (i + 1)..enabled.len() {
@@ -501,7 +500,7 @@ impl Scheduler for ExpandScheduler<'_> {
     }
 }
 
-/// Replays `schedule` on a fresh simulation; `Ok` carries the canonical
+/// Replays `schedule` on a fresh simulation; `Ok` carries the
 /// fingerprint of the final state, `Err` the first vanished key.
 fn replay_order(
     scenario: &Scenario,
@@ -514,7 +513,7 @@ fn replay_order(
         return Err(miss);
     }
     debug_assert_eq!(replay.replayed(), schedule.len());
-    Ok(sim.fingerprint_canonical())
+    Ok(sim.fingerprint())
 }
 
 /// Re-executes `schedule`, one human-readable line per step.
@@ -594,7 +593,7 @@ fn check_pair(scenario: &Scenario, job: &PairJob) -> Option<PairMismatch> {
         (Ok(x), Ok(y)) => (
             "state-divergence",
             format!(
-                "canonical fingerprints differ: a-then-b {:016x}/{:032x}, b-then-a {:016x}/{:032x}",
+                "fingerprints differ: a-then-b {:016x}/{:032x}, b-then-a {:016x}/{:032x}",
                 x.0, x.1, y.0, y.1
             ),
         ),
@@ -641,7 +640,7 @@ pub fn audit_scenario(
             },
         }],
         visited: HashSet::new(),
-        canon64: HashMap::new(),
+        by64: HashMap::new(),
         checked: HashSet::new(),
         pending_jobs: Vec::new(),
         stats: AuditStats::default(),

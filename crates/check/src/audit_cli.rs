@@ -164,7 +164,7 @@ pub fn run(smoke: bool, json: Option<&str>) -> ExitCode {
         }
     }
 
-    // 3. Fingerprint collision audit: how many distinct canonical states
+    // 3. Fingerprint collision audit: how many distinct states
     // share a 64-bit fingerprint (from the oracle walks above), plus the
     // explorer itself re-run with its visited set on the 128-bit lane —
     // identical state/schedule counts mean no narrow-lane merge ever

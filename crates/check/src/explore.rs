@@ -14,8 +14,10 @@
 //! ## Pruning
 //!
 //! * **Visited states** — at every frontier the simulation's
-//!   [`fingerprint`](Simulation::fingerprint) (combined with the pending
-//!   sleep set) is looked up in a visited table; a hit ends the run.
+//!   [`fingerprint`](Simulation::fingerprint), a hash of the state's
+//!   fields with storage in sorted object order (combined with the
+//!   pending sleep set, named by [`Event::shape_hash`]), is looked up in
+//!   a visited table; a hit ends the run.
 //! * **Sleep sets** — after a choice `e` is fully explored at a node, `e`
 //!   enters the node's sleep set; children inherit the sleep entries that
 //!   are *independent* of the chosen event. Two events are independent
@@ -64,7 +66,7 @@ pub struct Budget {
     /// the refinement buys on cross-shard workloads).
     pub object_independence: bool,
     /// `true` = the visited table keys on the 128-bit fingerprint lane
-    /// instead of the historical 64-bit one. Sleep-set subset matching
+    /// instead of the 64-bit one. Sleep-set subset matching
     /// prunes on fingerprint equality, so a 64-bit collision between two
     /// *distinct* states silently merges their subtrees; running the same
     /// exploration in both widths and comparing state/schedule counts is
@@ -370,8 +372,8 @@ struct Core {
     /// under. A revisit may be pruned only if some stored sleep set is a
     /// **subset** of the current one — the earlier exploration then
     /// covered strictly more successors than this visit would. Keyed
-    /// `u128`: in narrow mode the historical 64-bit fingerprint is
-    /// zero-extended, in [`Budget::wide`] mode the full 128-bit lane is
+    /// `u128`: in narrow mode the 64-bit lane is zero-extended, in
+    /// [`Budget::wide`] mode the full 128-bit lane is
     /// used (the collision audit compares the two).
     visited: HashMap<u128, Vec<Box<[u64]>>>,
     /// Total stored `(state, sleep-set)` entries, against
@@ -477,7 +479,7 @@ impl Scheduler for RunScheduler<'_> {
         // subset-based state matching (see [`Core::visited`]).
         let mut sleep_shapes: Vec<u64> = sleep
             .iter()
-            .filter_map(|k| queue.get(*k).map(shape_hash))
+            .filter_map(|k| queue.get(*k).map(Event::shape_hash))
             .collect();
         sleep_shapes.sort_unstable();
         sleep_shapes.dedup();
@@ -485,7 +487,7 @@ impl Scheduler for RunScheduler<'_> {
             self.end = RunEnd::Budget;
             return None;
         }
-        let (fp64, fp128) = sim.fingerprint_wide();
+        let (fp64, fp128) = sim.fingerprint();
         let fp = if self.core.budget.wide {
             fp128
         } else {
@@ -534,26 +536,6 @@ impl Scheduler for RunScheduler<'_> {
         self.core.stats.max_depth_seen = self.core.stats.max_depth_seen.max(self.depth);
         Some(key)
     }
-}
-
-/// FNV-1a over a byte slice.
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Hashes an event's content, ignoring scheduling time and `sent_at` —
-/// the same abstraction [`Simulation::fingerprint`] uses for the pending
-/// multiset.
-pub(crate) fn shape_hash(event: &Event) -> u64 {
-    let s = match event {
-        Event::Deliver(m) => format!("D|{:?}|{:?}|{:?}", m.from, m.to, m.payload),
-        other => format!("E|{other:?}"),
-    };
-    fnv(s.as_bytes())
 }
 
 pub(crate) fn describe_event(event: &Event) -> String {
@@ -810,14 +792,5 @@ mod tests {
             ),
             Class::Global
         );
-    }
-
-    #[test]
-    fn shape_hash_distinguishes_events() {
-        use arbitree_sim::ClientId;
-        let a = Event::ClientTick(ClientId(0));
-        let b = Event::ClientTick(ClientId(1));
-        assert_ne!(shape_hash(&a), shape_hash(&b));
-        assert_eq!(shape_hash(&a), shape_hash(&a));
     }
 }

@@ -10,7 +10,8 @@
 //! Three mechanisms keep small configurations (3–6 sites, one or two
 //! physical levels) tractable:
 //!
-//! * **state fingerprinting** ([`arbitree_sim::Simulation::fingerprint`])
+//! * **state fingerprinting** ([`arbitree_sim::Simulation::fingerprint`],
+//!   a hash of the state's fields with storage in sorted object order)
 //!   prunes schedules that re-converge to an already-visited logical
 //!   state;
 //! * **sleep sets** (Godefroid's partial-order reduction) skip orderings
@@ -33,9 +34,9 @@
 //!
 //! The [`audit`] module turns the same machinery on the checker itself:
 //! a commutativity oracle replays claimed-independent event pairs in both
-//! orders and demands canonically identical states, a second mutation
+//! orders and demands identical fingerprints, a second mutation
 //! harness seeds over-coarsened independence relations the oracle must
-//! refute, and a collision audit measures how often distinct canonical
+//! refute, and a collision audit measures how often distinct
 //! states share a 64-bit fingerprint (the [`Budget::wide`] flag runs the
 //! explorer's visited set on the 128-bit lane for comparison).
 

@@ -562,6 +562,16 @@ impl<K: Eq + Hash, V: PartialEq> PartialEq for DetMap<K, V> {
 
 impl<K: Eq + Hash, V: Eq> Eq for DetMap<K, V> {}
 
+/// Hashes the entries in key order, so maps equal under the order-free
+/// `PartialEq` hash equal.
+impl<K: Ord + Hash, V: Hash> Hash for DetMap<K, V> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let mut entries: Vec<(&K, &V)> = self.iter().collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        entries.hash(state);
+    }
+}
+
 impl<K: Eq + Hash, V> FromIterator<(K, V)> for DetMap<K, V> {
     fn from_iter<I: IntoIterator<Item = (K, V)>>(iter: I) -> Self {
         let mut map = DetMap::new();
@@ -804,6 +814,15 @@ mod tests {
         assert_ne!(a, c);
         let d: DetMap<u32, &str> = [(1, "a")].into_iter().collect();
         assert_ne!(a, d);
+        // Hash agrees with the order-free equality.
+        let hash = |m: &DetMap<u32, &str>| {
+            let mut h = FxHasher::default();
+            m.hash(&mut h);
+            h.finish()
+        };
+        assert_eq!(hash(&a), hash(&b));
+        assert_ne!(hash(&a), hash(&c));
+        assert_ne!(hash(&a), hash(&d));
     }
 
     #[test]

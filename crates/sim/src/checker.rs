@@ -5,13 +5,15 @@
 //! the last *committed* version per object and verifies that every read,
 //! checked while its shared lock is held, returns it exactly.
 
+use crate::fingerprint::hash_in_order;
 use crate::message::{ObjectId, OpId};
 use arbitree_core::{DetMap, Timestamp};
 use bytes::Bytes;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// A consistency violation detected by the checker.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Violation {
     /// The offending read operation.
     pub op: OpId,
@@ -33,7 +35,7 @@ impl fmt::Display for Violation {
     }
 }
 
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, Hash)]
 struct ObjectModel {
     committed_ts: Timestamp,
     committed_value: Bytes,
@@ -46,6 +48,17 @@ pub struct ConsistencyChecker {
     violations: Vec<Violation>,
     reads_checked: u64,
     writes_recorded: u64,
+}
+
+/// Hashes the object models in their insertion order (see
+/// `fingerprint::hash_in_order`).
+impl Hash for ConsistencyChecker {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        hash_in_order(self.objects.len(), self.objects.iter(), state);
+        self.violations.hash(state);
+        self.reads_checked.hash(state);
+        self.writes_recorded.hash(state);
+    }
 }
 
 impl ConsistencyChecker {

@@ -2,6 +2,7 @@
 
 use crate::time::SimDuration;
 use crate::workload::ObjectDistribution;
+use std::hash::{Hash, Hasher};
 
 /// Network behaviour parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -21,6 +22,16 @@ impl Default for NetworkConfig {
             max_latency: SimDuration::from_micros(500),
             drop_probability: 0.0,
         }
+    }
+}
+
+/// `f64` has no `Hash`: the drop probability hashes as its bits, `+ 0.0`
+/// first folding `-0.0` into the `0.0` that `==` calls equal.
+impl Hash for NetworkConfig {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.min_latency.hash(state);
+        self.max_latency.hash(state);
+        (self.drop_probability + 0.0).to_bits().hash(state);
     }
 }
 

@@ -41,6 +41,7 @@ use crate::config::SimConfig;
 use crate::engine::Engine;
 use crate::event::Event;
 use crate::fault::FaultInjection;
+use crate::fingerprint::{hash_in_order, Fnv};
 use crate::history::{History, HistoryEvent, HistoryKind};
 use crate::locks::{LockManager, LockMode};
 use crate::message::{ClientId, Endpoint, Message, ObjectId, OpId, Payload};
@@ -57,6 +58,7 @@ use bytes::Bytes;
 use rand::Rng;
 use std::collections::VecDeque;
 use std::fmt;
+use std::hash::Hash;
 
 /// The boxed protocol the simulation runs — swapped live on migration.
 pub(crate) type Proto = Box<dyn ReplicaControl>;
@@ -77,12 +79,12 @@ pub(crate) enum AbortCause {
 /// and reconfiguration.
 pub struct Coordinator {
     pub(crate) config: SimConfig,
-    locks: LockManager,
+    pub(crate) locks: LockManager,
     checker: ConsistencyChecker,
     /// One slot per client, indexed by [`ClientId`]: the workload clients,
     /// then the migration coordinator. Each holds the client's transaction.
     pub(crate) clients: Vec<ClientState>,
-    next_op: u64,
+    pub(crate) next_op: u64,
     queued_reconfigs: VecDeque<(usize, Proto)>,
     reconfig: Option<Reconfig>,
     history: History,
@@ -143,43 +145,45 @@ impl Coordinator {
         self.clients.iter().filter(|c| c.op.is_some()).count()
     }
 
-    /// Streams the coordinator's behavioural state into `h` (see
+    /// Hashes the coordinator's behavioural state into `h` (see
     /// [`crate::fingerprint`] for the inclusion rules). `now` is the engine
     /// clock, used only to reduce pending scripted transactions to
     /// due-flags — the single place the clock value feeds behaviour.
-    pub(crate) fn fingerprint_into(&self, h: &mut crate::fingerprint::Fnv, now: SimTime) {
+    pub(crate) fn fingerprint_into(&self, h: &mut Fnv, now: SimTime) {
         for c in &self.clients {
-            h.debug(&(c.sid, &c.suspected, c.op));
+            c.sid.hash(h);
+            hash_in_order(c.suspected.len(), c.suspected.iter(), h);
+            c.op.hash(h);
             // An idle client's record is leftovers; of an in-flight one,
             // every field except `started`, the phase stamps and the
             // phase's retry count, which feed only the latency metrics,
             // history stamps and timer times (like the client's `rtt`,
-            // left out too).
+            // left out too), and `order`, a function of `objects`.
             if let (Some(_), Some(s)) = (c.op, &c.txn) {
-                h.debug(&s.client);
-                h.debug(&s.phase);
-                h.u64(s.phase_counter);
-                h.u64(u64::from(s.attempts));
-                h.debug(&s.objects);
-                h.u64(s.locks_held as u64);
-                h.debug(&s.pending);
-                h.debug(&s.responses);
-                h.debug(&s.is_migration);
+                s.client.hash(h);
+                s.phase.hash(h);
+                s.phase_counter.hash(h);
+                s.attempts.hash(h);
+                s.objects.hash(h);
+                s.locks_held.hash(h);
+                s.pending.hash(h);
+                s.responses.hash(h);
+                s.is_migration.hash(h);
             }
-            h.u64(c.scripted.len() as u64);
+            c.scripted.len().hash(h);
             for (at, req) in &c.scripted {
-                h.debug(&(*at <= now));
-                h.debug(req);
+                (*at <= now).hash(h);
+                req.hash(h);
             }
         }
-        h.debug(&self.locks);
-        h.debug(&self.checker);
-        h.u64(self.next_op);
-        h.u64(self.queued_reconfigs.len() as u64);
+        self.locks.hash(h);
+        self.checker.hash(h);
+        self.next_op.hash(h);
+        self.queued_reconfigs.len().hash(h);
         for (shard, _) in &self.queued_reconfigs {
-            h.u64(*shard as u64);
+            shard.hash(h);
         }
-        h.debug(&self.reconfig);
+        self.reconfig.hash(h);
     }
 
     /// Whether an [`Event::OpTimeout`] of `client` with this `(op,

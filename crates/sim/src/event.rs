@@ -52,8 +52,10 @@ use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
-/// Events driving the simulation.
-#[derive(Debug, Clone, PartialEq)]
+/// Events driving the simulation. Their `Hash` is their content: it
+/// leaves a delivery's send time out, and an event's own time is not part
+/// of it.
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum Event {
     /// A message arrives at its destination.
     Deliver(Message),

@@ -14,13 +14,14 @@
 //! strict, because every exclusive lock is held until the transaction
 //! ends.
 
+use crate::fingerprint::hash_in_order;
 use crate::message::{ObjectId, OpId};
 use arbitree_core::DetMap;
 use std::collections::VecDeque;
-use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Lock mode requested by an operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LockMode {
     /// Shared: concurrent readers allowed.
     Read,
@@ -28,7 +29,7 @@ pub enum LockMode {
     Write,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Hash)]
 struct LockState {
     holders: Vec<(OpId, LockMode)>,
     queue: VecDeque<(OpId, LockMode)>,
@@ -45,7 +46,7 @@ impl LockState {
 
 /// The lock manager: each object with live lock state maps to its holders
 /// and its FIFO wait queue.
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct LockManager {
     objects: DetMap<ObjectId, LockState>,
     /// Emptied lock states, kept with their buffers' capacity for the next
@@ -53,13 +54,11 @@ pub struct LockManager {
     spare: Vec<LockState>,
 }
 
-/// Prints only the live lock table: the spare pool is an allocation cache,
-/// and the model checker's state fingerprint hashes this text.
-impl fmt::Debug for LockManager {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("LockManager")
-            .field("objects", &self.objects)
-            .finish()
+/// Hashes the live lock table alone, in its insertion order (see
+/// `fingerprint::hash_in_order`): the spare pool is an allocation cache.
+impl Hash for LockManager {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        hash_in_order(self.objects.len(), self.objects.iter(), state);
     }
 }
 
@@ -152,6 +151,7 @@ impl LockManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fingerprint::Fnv;
 
     const OBJ: ObjectId = ObjectId(0);
 
@@ -214,22 +214,23 @@ mod tests {
     }
 
     #[test]
-    fn recycled_lock_states_do_not_show_in_debug() {
+    fn recycled_lock_states_do_not_show_in_the_fingerprint() {
         let mut lm = LockManager::new();
-        let empty = format!("{lm:?}");
+        let empty = Fnv::lanes(&lm);
         assert!(lm.acquire(OpId(1), OBJ, LockMode::Write));
         assert!(!lm.acquire(OpId(2), OBJ, LockMode::Read));
-        let held = format!("{lm:#?}");
+        let held = Fnv::lanes(&lm);
+        assert_ne!(held, empty);
         assert_eq!(lm.release(OpId(1), OBJ), vec![OpId(2)]);
         assert!(lm.release(OpId(2), OBJ).is_empty());
         assert_eq!(lm.spare.len(), 1, "the emptied state went to the pool");
-        assert_eq!(format!("{lm:?}"), empty);
-        // The recycled state (its buffers keep their capacity) prints as a
+        assert_eq!(Fnv::lanes(&lm), empty);
+        // The recycled state (its buffers keep their capacity) hashes as a
         // fresh one did.
         assert!(lm.acquire(OpId(1), OBJ, LockMode::Write));
         assert!(!lm.acquire(OpId(2), OBJ, LockMode::Read));
         assert!(lm.spare.is_empty());
-        assert_eq!(format!("{lm:#?}"), held);
+        assert_eq!(Fnv::lanes(&lm), held);
     }
 
     #[test]

@@ -6,6 +6,7 @@ use arbitree_quorum::SiteId;
 use arbitree_sync::{NodeAgg, Range};
 use bytes::Bytes;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Identifier of a client (transaction coordinator).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -57,7 +58,7 @@ impl fmt::Display for Endpoint {
 
 /// Message payloads of the replica control protocol: versioned reads plus a
 /// two-phase commit for writes (§2.2's transaction model).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum Payload {
     /// Client → site: return your stored value and timestamp for `obj`.
     ReadReq {
@@ -179,7 +180,7 @@ pub enum Payload {
 /// fill: either the digests agree or the requester should descend.
 /// Mismatching ranges sparse enough to ship whole (every mismatching leaf
 /// among them) are answered with [`Payload::RangeFill`] instead.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum RangeVerdict {
     /// Digests agree — the whole range is already in sync.
     Match,
@@ -258,6 +259,15 @@ pub struct Message {
     pub payload: Payload,
     /// Send time (for latency accounting).
     pub sent_at: SimTime,
+}
+
+/// Leaves `sent_at` out: a send time is a clock label under a controlled
+/// scheduler, so the state fingerprint takes two sends of one message as
+/// the same pending content.
+impl Hash for Message {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (self.from, self.to, &self.payload).hash(state);
+    }
 }
 
 #[cfg(test)]

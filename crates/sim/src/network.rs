@@ -11,7 +11,7 @@ use rand::Rng;
 
 /// A network partition: endpoints in different groups cannot exchange
 /// messages. Endpoints not present in the map are in group 0.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct Partition {
     groups: DetMap<Endpoint, u32>,
 }
@@ -55,7 +55,7 @@ impl Partition {
 /// Behaviour can be overridden mid-run (drop bursts, latency spikes): a
 /// scheduled [`crate::Event::NetOverride`] installs a temporary
 /// [`NetworkConfig`] that masks the base one until cleared.
-#[derive(Debug)]
+#[derive(Debug, Hash)]
 pub struct Network {
     config: NetworkConfig,
     override_config: Option<NetworkConfig>,

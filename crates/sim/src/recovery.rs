@@ -69,6 +69,7 @@ use crate::time::{SimDuration, SimTime};
 use arbitree_quorum::{AliveSet, QuorumSet, ReplicaControl, ShardMap, SiteId};
 use arbitree_sync::{NodeAgg, Range, Response, Session};
 use rand::{Rng, RngCore};
+use std::hash::Hash;
 
 /// The sync sources for rejoining `site`: for every write quorum `W` of
 /// `protocols` that contains `site` and that the sources drawn so far do
@@ -108,20 +109,20 @@ const WINDOW: usize = 4;
 
 /// Per-site rejoin progress.
 #[derive(Debug)]
-struct RejoinState {
+pub(crate) struct RejoinState {
     /// Remaining sync sources, current one first. Empty while waiting for
     /// a `Serving` mate in every write quorum that contains the site.
     sources: Vec<SiteId>,
     /// Reconciliation session against `sources[0]`.
     session: Session,
     /// Consecutive retries without progress (drives the backoff policy).
-    attempt: u32,
+    pub(crate) attempt: u32,
     /// The epoch the site's live retry timer was armed in. Bumped on every
     /// progress step from a globally monotonic counter, so stale timers —
     /// and timers of an *earlier* rejoin of the same site — never match.
-    epoch: u64,
+    pub(crate) epoch: u64,
     /// When the site recovered (for rejoin-latency accounting).
-    started: SimTime,
+    pub(crate) started: SimTime,
     /// Whether the rejoin was given up (a write quorum holding the site
     /// has no other member); feeds only the abandoned-rejoin count.
     abandoned: bool,
@@ -147,7 +148,7 @@ pub struct RejoinManager {
     next_epoch: u64,
     /// Each site's rejoin in progress, indexed by [`SiteId::index`]; empty
     /// until the run's first rejoin, so a run without one allocates nothing.
-    states: Vec<Option<RejoinState>>,
+    pub(crate) states: Vec<Option<RejoinState>>,
     /// Probes being sent, reused across pumps and resends; empty between
     /// calls.
     probes: Vec<(Range, NodeAgg)>,
@@ -428,17 +429,17 @@ impl RejoinManager {
 
     /// Folds the manager's state into a run fingerprint.
     pub(crate) fn fingerprint_into(&self, h: &mut Fnv) {
-        h.u64(self.next_epoch);
-        h.u64(self.states.iter().flatten().count() as u64);
+        self.next_epoch.hash(h);
+        self.states.iter().flatten().count().hash(h);
         for (site, state) in self.states.iter().enumerate() {
             let Some(state) = state else {
                 continue;
             };
-            h.u64(site as u64);
+            site.hash(h);
             // `started` feeds only the rejoin-latency metric: under a
             // controlled scheduler it is a clock label, like a
             // transaction's start stamp, so it stays out.
-            h.debug(&(&state.sources, &state.session, state.attempt, state.epoch));
+            (&state.sources, &state.session, state.attempt, state.epoch).hash(h);
         }
     }
 }

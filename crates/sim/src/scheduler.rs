@@ -49,7 +49,9 @@ impl Scheduler for SeededScheduler {
 ///
 /// This is the pair-replay hook for `arbitree-audit`: the commutativity
 /// oracle replays `prefix + [a, b]` and `prefix + [b, a]` from two fresh
-/// simulations and compares the resulting canonical fingerprints. Replay
+/// simulations and compares the resulting state fingerprints
+/// ([`Simulation::fingerprint`], which hashes storage in sorted object
+/// order, so two orders that only permute insertion compare equal). Replay
 /// leans on the engine's key stability — executing the same choices from
 /// the same seed re-creates the same `(at, seq)` keys — which
 /// `crates/sim/tests/replay.rs` pins down for the seeded path and the
@@ -147,8 +149,7 @@ mod tests {
         b.run_with(&mut replay);
         assert_eq!(replay.missing(), None);
         assert_eq!(replay.replayed(), rec.0.len());
-        assert_eq!(a.fingerprint_wide(), b.fingerprint_wide());
-        assert_eq!(a.fingerprint_canonical(), b.fingerprint_canonical());
+        assert_eq!(a.fingerprint(), b.fingerprint());
     }
 
     #[test]

@@ -41,10 +41,10 @@ use std::fmt;
 ///
 /// [`run`]: Simulation::run
 pub struct Simulation {
-    engine: Engine,
-    coordinator: Coordinator,
-    shards: ShardMap,
-    rejoin: RejoinManager,
+    pub(crate) engine: Engine,
+    pub(crate) coordinator: Coordinator,
+    pub(crate) shards: ShardMap,
+    pub(crate) rejoin: RejoinManager,
 }
 
 impl fmt::Debug for Simulation {

@@ -16,18 +16,17 @@
 //! builds it from the committed map in key order. From then on installs
 //! append their key to a log, applied on the next read or once it outgrows
 //! twice the committed map. A wipe drops the tree with the data, so the
-//! next read builds it again. The root aggregate — the one part of the
-//! tree that `Debug` (and so the model checker's fingerprint) shows — is
-//! kept eagerly.
+//! next read builds it again. The state fingerprint hashes the committed
+//! and staged maps alone, so when the tree is built is invisible to it.
 
 use crate::message::{ObjectId, OpId};
 use arbitree_core::{DetMap, Timestamp};
-use arbitree_sync::{item_hash, HTree, NodeAgg, Range};
+use arbitree_sync::{item_hash, HTree, Range};
 use bytes::Bytes;
-use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// A committed object version.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Version {
     /// The value.
     pub value: Bytes,
@@ -57,7 +56,7 @@ impl Version {
 }
 
 /// A staged (prepared, not yet committed) write.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Staged {
     /// The preparing operation.
     pub op: OpId,
@@ -68,7 +67,7 @@ pub struct Staged {
 }
 
 /// Durable replica storage.
-#[derive(Clone, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Storage {
     committed: DetMap<ObjectId, Version>,
     staged: DetMap<ObjectId, Staged>,
@@ -81,29 +80,15 @@ pub struct Storage {
     /// tree is a function of the committed map, so a flush reads each
     /// key's item hash from there.
     log: Option<Vec<u32>>,
-    /// The tree's root aggregate over the *current* committed map.
-    root: NodeAgg,
 }
 
-/// Prints what the range tree's own `Debug` prints — its root — so a
-/// storage's `Debug` text does not depend on when the log was flushed.
-struct RootView(NodeAgg);
-
-impl fmt::Debug for RootView {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("HTree")
-            .field("root", &self.0)
-            .finish_non_exhaustive()
-    }
-}
-
-impl fmt::Debug for Storage {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Storage")
-            .field("committed", &self.committed)
-            .field("staged", &self.staged)
-            .field("htree", &RootView(self.root))
-            .finish()
+/// Hashes the committed and staged maps in object order, whatever order
+/// the schedule filled them in; the tree and its log are a function of
+/// the committed map and stay out.
+impl Hash for Storage {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.committed.hash(state);
+        self.staged.hash(state);
     }
 }
 
@@ -158,13 +143,12 @@ impl Storage {
             }
         }
         log.clear();
-        debug_assert_eq!(self.htree.digest(Range::ROOT), self.root);
     }
 
     /// Installs `value` at `ts` when it is newer than the committed version
     /// of `obj` (the zero version if never written), in one committed-map
-    /// probe; updates the root aggregate and, once the range tree is
-    /// built, logs the key for it. Returns whether it installed. Every
+    /// probe; once the range tree is built, logs the key for it. Returns
+    /// whether it installed. Every
     /// committed-map write funnels through here so the tree can never drift
     /// from the store.
     fn install(&mut self, obj: ObjectId, value: Bytes, ts: Timestamp) -> bool {
@@ -172,22 +156,11 @@ impl Storage {
         if ts <= Timestamp::ZERO {
             return false;
         }
-        let mut fresh = false;
-        let current = self.committed.entry(obj).or_insert_with(|| {
-            fresh = true;
-            Version::default()
-        });
+        let current = self.committed.entry(obj).or_default();
         if ts <= current.ts {
             return false;
         }
-        let version = Version { value, ts };
-        self.root.hash ^= version.item_hash(obj);
-        if fresh {
-            self.root.count += 1;
-        } else {
-            self.root.hash ^= current.item_hash(obj);
-        }
-        *current = version;
+        *current = Version { value, ts };
         if let Some(log) = &mut self.log {
             log.push(obj.0);
             // Bounds the log at O(store); flushing by key does at most the
@@ -261,28 +234,12 @@ impl Storage {
     pub fn staged(&self, obj: ObjectId) -> Option<&Staged> {
         self.staged.get(&obj)
     }
-
-    /// Committed entries in sorted object order — an insertion-order-free
-    /// view for canonical fingerprinting (the `DetMap` itself iterates in
-    /// insertion order, which depends on the schedule that built it).
-    pub fn committed_sorted(&self) -> Vec<(ObjectId, &Version)> {
-        let mut entries: Vec<_> = self.committed.iter().map(|(k, v)| (*k, v)).collect();
-        entries.sort_by_key(|(obj, _)| obj.0);
-        entries
-    }
-
-    /// Staged entries in sorted object order (see
-    /// [`Storage::committed_sorted`]).
-    pub fn staged_sorted(&self) -> Vec<(ObjectId, &Staged)> {
-        let mut entries: Vec<_> = self.staged.iter().map(|(k, v)| (*k, v)).collect();
-        entries.sort_by_key(|(obj, _)| obj.0);
-        entries
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fingerprint::Fnv;
     use arbitree_quorum::SiteId;
     use arbitree_sync::{Range, LEAF_DEPTH};
 
@@ -446,18 +403,21 @@ mod tests {
     /// A range tree built eagerly, item by item, over `s`'s committed map.
     fn eager_tree(s: &Storage) -> HTree {
         let mut t = HTree::new();
-        for (obj, v) in s.committed_sorted() {
-            t.insert(obj.0, v.item_hash(obj));
+        for (obj, v) in s.committed.iter() {
+            t.insert(obj.0, v.item_hash(*obj));
         }
         t
     }
 
     /// Everything `s` has committed, in key order, as a fill ships it.
     fn all_items(s: &Storage) -> Vec<(ObjectId, Bytes, Timestamp)> {
-        let committed = s.committed_sorted().into_iter();
-        committed
-            .map(|(obj, v)| (obj, v.value.clone(), v.ts))
-            .collect()
+        let mut items: Vec<_> = s
+            .committed
+            .iter()
+            .map(|(obj, v)| (*obj, v.value.clone(), v.ts))
+            .collect();
+        items.sort_unstable_by_key(|item| item.0);
+        items
     }
 
     #[test]
@@ -469,10 +429,10 @@ mod tests {
             // Never read: no tree and no log.
             assert!(s.log.is_none() && s.htree.is_empty());
         }
-        let (before, eager) = (format!("{s:?}"), eager_tree(&s));
+        let (before, eager) = (Fnv::lanes(&s), eager_tree(&s));
         assert_eq!(s.htree(), &eager);
-        // Building is invisible to Debug (and so to fingerprints).
-        assert_eq!(format!("{s:?}"), before);
+        // Building is invisible to the state fingerprint.
+        assert_eq!(Fnv::lanes(&s), before);
         for v in 101..=200 {
             assert!(s.repair(ObjectId(7), Bytes::from_static(b"w"), ts(v)));
             assert!(s
@@ -480,11 +440,12 @@ mod tests {
                 .as_ref()
                 .is_some_and(|log| log.len() <= 2 * s.committed.len()));
         }
-        let (before, eager, items) = (format!("{s:?}"), eager_tree(&s), all_items(&s));
+        let (before, eager, items) = (Fnv::lanes(&s), eager_tree(&s), all_items(&s));
         assert_eq!(s.fill(Range::ROOT), items);
         assert_eq!(s.log, Some(Vec::new()));
         assert_eq!(s.htree(), &eager);
-        assert_eq!(format!("{s:?}"), before);
+        // Neither is flushing the log.
+        assert_eq!(Fnv::lanes(&s), before);
         // A wipe drops the tree; the store logs nothing until read again.
         s.wipe();
         assert!(s.repair(ObjectId(9), Bytes::from_static(b"x"), ts(1)));
@@ -534,11 +495,11 @@ mod tests {
                         read = true;
                     }
                     _ => {
-                        let debug = format!("{s:?}");
+                        let fingerprint = Fnv::lanes(&s);
                         let eager = eager_tree(&s);
                         let lazy = s.htree().clone();
                         read = true;
-                        proptest::prop_assert_eq!(format!("{s:?}"), debug);
+                        proptest::prop_assert_eq!(Fnv::lanes(&s), fingerprint);
                         // Whole-tree equality compares every node of every
                         // level; the probes below also cover empty ranges.
                         proptest::prop_assert!(lazy == eager, "tree differs at step {}", i);

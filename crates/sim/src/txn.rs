@@ -28,9 +28,10 @@ use arbitree_quorum::{QuorumSet, ReplicaControl, SiteId};
 use bytes::Bytes;
 use std::collections::VecDeque;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// What a transaction is doing right now.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub(crate) enum Phase {
     /// Acquiring its locks, in object order.
     LockWait,
@@ -90,7 +91,7 @@ pub(crate) struct TxnState {
 }
 
 /// One object of a transaction.
-#[derive(Debug)]
+#[derive(Debug, Hash)]
 pub(crate) struct TxnObject {
     pub(crate) obj: ObjectId,
     /// `Write` for a written object, `Read` for one only read.
@@ -269,7 +270,7 @@ impl TxnState {
 /// ascending site order, and iterates — and prints `Debug` — exactly as
 /// that set did: objects in insertion order, each object's sites
 /// ascending. Removal is a bit flip instead of an index rewrite.
-#[derive(Default)]
+#[derive(Default, Hash)]
 pub(crate) struct AckSet {
     /// Objects with at least one outstanding site (emptied sets are
     /// dropped, so `is_empty` is `entries.is_empty()`).
@@ -381,7 +382,7 @@ impl fmt::Debug for AckSet {
 }
 
 /// Progress of a live reconfiguration.
-#[derive(Debug)]
+#[derive(Debug, Hash)]
 pub(crate) enum MigrationPhase {
     /// Waiting for in-flight client transactions to drain.
     Draining,
@@ -407,6 +408,15 @@ impl fmt::Debug for Reconfig {
             .field("shard", &self.shard)
             .field("phase", &self.phase)
             .finish()
+    }
+}
+
+/// A boxed protocol has no `Hash`: the target hashes as its `describe()`.
+impl Hash for Reconfig {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.target.describe().hash(state);
+        self.shard.hash(state);
+        self.phase.hash(state);
     }
 }
 
@@ -514,7 +524,7 @@ impl ClientState {
 ///
 /// Submit with [`crate::Simulation::schedule_transaction`]; combine with
 /// [`crate::SimConfig::auto_workload`]` = false` for fully scripted runs.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, Hash)]
 pub struct TxnRequest {
     /// Objects to read.
     pub reads: Vec<ObjectId>,

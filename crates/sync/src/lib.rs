@@ -140,7 +140,7 @@ impl fmt::Display for Range {
 /// node. Two equal stores produce equal aggregates at every node; the
 /// count disambiguates the empty store from (vanishingly unlikely)
 /// XOR-cancelling item sets of equal size being compared against nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct NodeAgg {
     /// XOR of the item hashes under the node.
     pub hash: u64,
@@ -185,7 +185,7 @@ pub fn item_hash(key: u32, version: u64, sid: u32, value: &[u8]) -> u64 {
 
 /// The cumulated-hash range tree: item hashes at the bottom, XOR/count
 /// aggregates at every level above, all maintained incrementally.
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HTree {
     /// Item hash per live key, sorted — leaf enumeration for fills.
     items: BTreeMap<u32, u64>,
@@ -199,18 +199,6 @@ pub struct HTree {
 impl Default for HTree {
     fn default() -> Self {
         HTree::new()
-    }
-}
-
-// Hand-written: the derived form would stream every node of every level
-// into the model checker's fingerprint hash. The tree is a pure function
-// of the item map (which the owning storage already exposes), so the root
-// digest alone is a faithful summary.
-impl fmt::Debug for HTree {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("HTree")
-            .field("root", &self.root)
-            .finish_non_exhaustive()
     }
 }
 
@@ -358,7 +346,7 @@ pub fn respond(tree: &HTree, range: Range, peer: NodeAgg) -> Response {
 
 /// Counters a [`Session`] accumulates (mirrored into `SimMetrics` by the
 /// simulator's rejoin manager).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct SessionStats {
     /// Range probes issued (requests sent).
     pub requests: u64,
@@ -373,7 +361,7 @@ pub struct SessionStats {
 /// Requester-side reconciliation state: the frontier of ranges still to
 /// probe, plus the probes in flight. The session is done when both are
 /// empty — every divergent range has been filled.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, Hash)]
 pub struct Session {
     /// Ranges discovered divergent but not yet probed (LIFO: depth-first,
     /// so the in-flight window stays O(log n) deep).
